@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.ablations import acf_hill_valid
-from repro.core.acf import classic_acf
-from repro.core.huber_periodogram import ordinary_periodogram
+from repro.core.acf import acf_hill_valid, classic_acf
+from repro.core.fisher import run_maxima
+from repro.core.huber_periodogram import ordinary_periodogram, zero_pad
 from repro.core.preprocess import detrend_normalize
 
 
@@ -24,8 +24,7 @@ def _permutation_threshold(x: np.ndarray, n_perm: int, seed: int,
     rng = np.random.default_rng(seed)
     maxima = np.empty(n_perm)
     for i in range(n_perm):
-        xp = rng.permutation(x)
-        P = ordinary_periodogram(np.concatenate([xp, np.zeros(x.size)]))
+        P = ordinary_periodogram(zero_pad(rng.permutation(x)))
         maxima[i] = P[1:].max()
     return float(np.quantile(maxima, quantile))
 
@@ -38,26 +37,13 @@ def detect(y: np.ndarray, *, n_perm: int = 32, quantile: float = 0.95,
     if n < 16:
         return []
     x = detrend_normalize(y)
-    xp = np.concatenate([x, np.zeros(n)])
-    P = ordinary_periodogram(xp)
+    P = ordinary_periodogram(zero_pad(x))
     thresh = _permutation_threshold(x, n_perm, seed, quantile)
     above = P > thresh
     above[0] = False
-    # Collapse contiguous exceeding ordinates to their local maximum.
-    ks = []
-    i = 1
-    while i < above.size:
-        if above[i]:
-            j = i
-            while j + 1 < above.size and above[j + 1]:
-                j += 1
-            ks.append(int(np.argmax(P[i:j + 1])) + i)
-            i = j + 1
-        else:
-            i += 1
     a = classic_acf(x)
     out = []
-    for k in ks:
+    for k in run_maxima(P, above):
         cand = 2 * n / k
         if cand < min_period or cand > n // 2:
             continue

@@ -54,7 +54,10 @@ def _zero_crossing_estimate(x: np.ndarray) -> int:
 
 
 def sazed_components(x: np.ndarray) -> list[int]:
-    """The six base estimates on the (detrended, normalized) series."""
+    """The six base estimates on the (detrended, normalized) series;
+    none for an all-zero (constant or all-missing) series."""
+    if not x.any():
+        return []
     a = classic_acf(x, unbiased=False)
     ests = [
         _spectral_estimate(x),

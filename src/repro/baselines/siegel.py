@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fisher import siegel_candidates
-from repro.core.huber_periodogram import ordinary_periodogram
+from repro.core.huber_periodogram import ordinary_periodogram, zero_pad
 from repro.core.preprocess import detrend_normalize
 
 
@@ -23,9 +23,7 @@ def detect(y: np.ndarray, *, alpha: float = 0.01, lam: float = 0.6,
     n = y.size
     if n < 16:
         return []
-    x = detrend_normalize(y)
-    xp = np.concatenate([x, np.zeros(n)])
-    P = ordinary_periodogram(xp)
+    P = ordinary_periodogram(zero_pad(detrend_normalize(y)))
     ks = siegel_candidates(P, alpha=alpha, lam=lam)
     out = []
     for k in ks:

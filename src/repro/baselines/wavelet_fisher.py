@@ -13,13 +13,12 @@ from repro.core.fisher import fisher_test
 from repro.core.huber_periodogram import ordinary_periodogram
 from repro.core.preprocess import detrend_normalize
 from repro.core.robust_period import merge_periods
+from repro.core.wavelets import dwt
 
 
 def detect(y: np.ndarray, *, wavelet: str = "db4", max_level: int = 8,
            alpha: float = 0.01, min_period: int = 2) -> list[int]:
     """Periods from per-level Fisher tests (near-duplicates merged)."""
-    from repro.core.wavelets import dwt
-
     y = np.asarray(y, dtype=float)
     n = y.size
     if n < 32:

@@ -12,33 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .acf import classic_acf, resolution_interval
+from .acf import acf_hill_valid, classic_acf
 from .fisher import fisher_test, siegel_candidates
-from .huber_periodogram import huber_periodogram
+from .huber_periodogram import huber_periodogram, zero_pad
 from .preprocess import preprocess
 from .robust_period import detect as _rp_detect
-
-
-def acf_hill_valid(acf_vals: np.ndarray, k: int, n_prime: int
-                   ) -> tuple[bool, int]:
-    """AUTOPERIOD validation: the candidate from periodogram index ``k``
-    is kept iff the ACF has an interior local maximum ("hill") inside the
-    candidate's resolution interval R_k; the refined period is that peak.
-    """
-    n = acf_vals.size
-    lo, hi = resolution_interval(k, n_prime)
-    lo_i = max(2, int(np.floor(lo)))
-    hi_i = min(n - 2, int(np.ceil(hi)))
-    if hi_i - lo_i < 2:
-        return False, 0
-    seg = acf_vals[lo_i:hi_i + 1]
-    t_rel = int(np.argmax(seg))
-    t = lo_i + t_rel
-    interior = 0 < t_rel < (hi_i - lo_i)
-    if interior and acf_vals[t] > 0 and acf_vals[t] > acf_vals[lo_i] \
-            and acf_vals[t] > acf_vals[hi_i]:
-        return True, t
-    return False, 0
 
 
 def huber_fisher(y: np.ndarray, *, alpha: float = 0.01,
@@ -49,8 +27,7 @@ def huber_fisher(y: np.ndarray, *, alpha: float = 0.01,
     if n < 16:
         return []
     x = preprocess(y)
-    xp = np.concatenate([x, np.zeros(n)])
-    P = huber_periodogram(xp, n_data=n)
+    P = huber_periodogram(zero_pad(x), n_data=n)
     sig, k_star, _ = fisher_test(P, alpha=alpha)
     if not sig or k_star < 1:
         return []
@@ -66,8 +43,7 @@ def huber_siegel_acf(y: np.ndarray, *, alpha: float = 0.01,
     if n < 16:
         return []
     x = preprocess(y)
-    xp = np.concatenate([x, np.zeros(n)])
-    P = huber_periodogram(xp, n_data=n)
+    P = huber_periodogram(zero_pad(x), n_data=n)
     ks = siegel_candidates(P, alpha=alpha)
     a = classic_acf(x)
     out = []
@@ -83,5 +59,4 @@ def huber_siegel_acf(y: np.ndarray, *, alpha: float = 0.01,
 
 def nr_robust_period(y: np.ndarray, **kw) -> list[int]:
     """Non-robust RobustPeriod: same procedure, classical estimators."""
-    return _rp_detect(y, huber=False, robust_variance=False,
-                      use_huber_acf=False, **kw)
+    return _rp_detect(y, robust=False, **kw)

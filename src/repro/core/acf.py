@@ -14,7 +14,7 @@ test at periodogram index k has resolution interval
     R_k = [ (N'/(k+1) + N'/k)/2 − 1 ,  (N'/k + N'/(k−1))/2 + 1 ]
 
 The median spacing of qualifying ACF peaks is the final period iff it
-falls inside R_k.
+falls inside R_k.  ``acf_hill_valid`` is AUTOPERIOD's check on R_k.
 """
 from __future__ import annotations
 
@@ -102,8 +102,7 @@ def resolution_interval(k: int, n_prime: int) -> tuple[float, float]:
     return lo, hi
 
 
-def acf_med_period(acf_vals: np.ndarray, k_star: int, n: int,
-                   **peak_kw) -> int:
+def acf_med_period(acf_vals: np.ndarray, k_star: int, n: int) -> int:
     """Huber-ACF-Med: median peak spacing validated against R_{k*}.
 
     Beyond the paper's R_k location check, two persistence guards reject
@@ -117,7 +116,7 @@ def acf_med_period(acf_vals: np.ndarray, k_star: int, n: int,
 
     Returns the final integer period, or 0 if validation fails.
     """
-    peaks = detect_peaks(acf_vals, **peak_kw)
+    peaks = detect_peaks(acf_vals)
     if peaks.size == 0 or k_star < 1:
         return 0
     if peaks.size == 1:
@@ -137,3 +136,25 @@ def acf_med_period(acf_vals: np.ndarray, k_star: int, n: int,
     if lo <= med <= hi:
         return int(round(med))
     return 0
+
+
+def acf_hill_valid(acf_vals: np.ndarray, k: int, n_prime: int
+                   ) -> tuple[bool, int]:
+    """AUTOPERIOD validation: the candidate from periodogram index ``k``
+    is kept iff the ACF has an interior local maximum ("hill") inside the
+    candidate's resolution interval R_k; the refined period is that peak.
+    """
+    n = acf_vals.size
+    lo, hi = resolution_interval(k, n_prime)
+    lo_i = max(2, int(np.floor(lo)))
+    hi_i = min(n - 2, int(np.ceil(hi)))
+    if hi_i - lo_i < 2:
+        return False, 0
+    seg = acf_vals[lo_i:hi_i + 1]
+    t_rel = int(np.argmax(seg))
+    t = lo_i + t_rel
+    interior = 0 < t_rel < (hi_i - lo_i)
+    if interior and acf_vals[t] > 0 and acf_vals[t] > acf_vals[lo_i] \
+            and acf_vals[t] > acf_vals[hi_i]:
+        return True, t
+    return False, 0

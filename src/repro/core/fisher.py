@@ -71,50 +71,43 @@ def fisher_g_critical(alpha: float, m: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def fisher_test(P: np.ndarray, *, alpha: float = 0.01,
-                skip_dc: bool = True) -> tuple[bool, int, float]:
+def fisher_test(P: np.ndarray, *, alpha: float = 0.01
+                ) -> tuple[bool, int, float]:
     """Run Fisher's test on a one-sided periodogram ``P`` (index 0 = DC).
 
-    Returns ``(significant, k_star, pvalue)`` with ``k_star`` an index
-    into ``P`` (absolute, i.e. DC included in the indexing).
+    The DC ordinate is excluded from the test.  Returns ``(significant,
+    k_star, pvalue)`` with ``k_star`` an index into ``P`` (absolute, i.e.
+    DC included in the indexing).
     """
-    start = 1 if skip_dc else 0
-    body = P[start:]
+    body = P[1:]
     if body.size < 2:
         return False, 0, 1.0
     g, k_rel = fisher_g_statistic(body)
     p = fisher_pvalue(g, body.size)
-    return p < alpha, k_rel + start, p
+    return p < alpha, k_rel + 1, p
+
+
+def run_maxima(P: np.ndarray, above: np.ndarray) -> list[int]:
+    """Collapse each run of consecutive ``above`` indices to the index of
+    its largest ``P``, so one spectral peak yields one candidate."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], above, [0]))))
+    return [int(i + np.argmax(P[i:j]))
+            for i, j in zip(edges[::2], edges[1::2])]
 
 
 def siegel_candidates(P: np.ndarray, *, alpha: float = 0.01,
-                      lam: float = 0.6, skip_dc: bool = True) -> list[int]:
+                      lam: float = 0.6) -> list[int]:
     """Siegel's compound-periodicity detection.
 
-    Returns the absolute indices of per-peak local maxima among ordinates
-    whose normalized power exceeds λ·g_crit(α).
+    Returns the absolute indices of per-peak local maxima among non-DC
+    ordinates whose normalized power exceeds λ·g_crit(α).
     """
-    start = 1 if skip_dc else 0
-    body = P[start:].astype(float)
+    body = P[1:].astype(float)
     m = body.size
     if m < 4:
         return []
     s = body.sum()
     if s <= 0:
         return []
-    gk = body / s
-    thresh = lam * fisher_g_critical(alpha, m)
-    above = gk > thresh
-    out: list[int] = []
-    i = 0
-    while i < m:
-        if above[i]:
-            j = i
-            while j + 1 < m and above[j + 1]:
-                j += 1
-            seg = np.argmax(body[i:j + 1]) + i
-            out.append(int(seg) + start)
-            i = j + 1
-        else:
-            i += 1
-    return out
+    above = body / s > lam * fisher_g_critical(alpha, m)
+    return [k + 1 for k in run_maxima(body, above)]

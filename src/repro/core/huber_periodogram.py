@@ -24,6 +24,13 @@ import numpy as np
 from .robust_stats import huber_weights, robust_scale
 
 HUBER_ZETA = 1.345
+IRLS_MAX_ITER = 20
+IRLS_TOL = 1e-7
+
+
+def zero_pad(x: np.ndarray) -> np.ndarray:
+    """``x`` followed by ``len(x)`` zeros: the N' = 2N padding of §3.4."""
+    return np.concatenate([x, np.zeros(x.size)])
 
 
 def ordinary_periodogram(x: np.ndarray) -> np.ndarray:
@@ -33,8 +40,7 @@ def ordinary_periodogram(x: np.ndarray) -> np.ndarray:
     return (X.real**2 + X.imag**2) / x.size
 
 
-def _irls_chunk(x: np.ndarray, ks: np.ndarray, zeta: float,
-                loss: str, max_iter: int, tol: float) -> np.ndarray:
+def _irls_chunk(x: np.ndarray, ks: np.ndarray, loss: str) -> np.ndarray:
     """Solve the M-periodogram for a chunk of frequency indices.
 
     Returns ||β̂(k)||² per k.  ``loss`` is 'huber' or 'lad'.
@@ -47,10 +53,10 @@ def _irls_chunk(x: np.ndarray, ks: np.ndarray, zeta: float,
     # OLS init (exact at Fourier frequencies).
     a = 2.0 / n * (C @ x)
     b = 2.0 / n * (S @ x)
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         r = a[:, None] * C + b[:, None] * S - x[None, :]
         if loss == "huber":
-            w = huber_weights(r, zeta)
+            w = huber_weights(r, HUBER_ZETA)
         else:  # LAD: w = 1/|r| with guard
             absr = np.abs(r)
             w = 1.0 / np.maximum(absr, 1e-8)
@@ -66,16 +72,14 @@ def _irls_chunk(x: np.ndarray, ks: np.ndarray, zeta: float,
         b_new = np.where(ok, (Scc * Ssx - Scs * Scx) / np.where(ok, det, 1.0), b)
         delta = np.max(np.abs(a_new - a) + np.abs(b_new - b))
         a, b = a_new, b_new
-        if delta < tol:
+        if delta < IRLS_TOL:
             break
     return a**2 + b**2
 
 
 def m_periodogram(x: np.ndarray, *, loss: str = "huber",
-                  zeta: float = HUBER_ZETA,
                   exact_band: tuple[int, int] | None = None,
                   n_data: int | None = None,
-                  max_iter: int = 20, tol: float = 1e-7,
                   chunk: int = 256) -> np.ndarray:
     """M-periodogram of Eq. 6 for k = 0..⌊N/2⌋.
 
@@ -107,7 +111,7 @@ def m_periodogram(x: np.ndarray, *, loss: str = "huber",
     beta2 = np.empty(ks.size)
     for s in range(0, ks.size, chunk):
         sub = ks[s:s + chunk]
-        beta2[s:s + chunk] = _irls_chunk(xn, sub, zeta, loss, max_iter, tol)
+        beta2[s:s + chunk] = _irls_chunk(xn, sub, loss)
     P[ks] = (n / 4.0) * beta2 * sig**2
     return P
 

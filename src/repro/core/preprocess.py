@@ -32,30 +32,33 @@ def interpolate_missing(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def detrend_normalize(y: np.ndarray, *, lamb: float | None = None) -> np.ndarray:
+def _detrend(y: np.ndarray) -> tuple[np.ndarray, float]:
+    """NaN-interpolated, HP-detrended ``y`` (Eq. 2), and the scale floor
+    below which it counts as flat.  The floor is relative to max|y| so the
+    HP residual of a constant maps to zeros, not to amplified float noise,
+    at any input scale."""
+    y = interpolate_missing(y)
+    tiny = 1e-8 * float(np.max(np.abs(y))) if y.size else 0.0
+    if y.size >= 8:
+        y = y - hp_filter(y)
+    return y, tiny
+
+
+def detrend_normalize(y: np.ndarray) -> np.ndarray:
     """HP-detrend + z-normalize, **without** the robust ψ-clip.
 
     The paper applies the HP filter to *all* algorithms for a fair
     comparison (§4.1.1); the robust clipping is RobustPeriod's own
     preprocessing, so baselines get this variant.
     """
-    y = interpolate_missing(y)
-    tiny = 1e-8 * max(1.0, float(np.max(np.abs(y)) if y.size else 0.0))
-    if y.size >= 8:
-        y = y - hp_filter(y, lamb)
+    y, tiny = _detrend(y)
     s = float(np.std(y))
     return (y - float(np.mean(y))) / s if s > tiny else np.zeros_like(y)
 
 
-def preprocess(y: np.ndarray, *, lamb: float | None = None,
-               c: float = 3.0, detrend: bool = True) -> np.ndarray:
+def preprocess(y: np.ndarray, *, c: float = 3.0) -> np.ndarray:
     """Normalized, detrended, outlier-clipped series y' of §3.2."""
-    y = interpolate_missing(y)
-    # Relative floor: a numerically-flat series (HP residual of a constant)
-    # must map to zeros, not to amplified float noise.
-    tiny = 1e-8 * max(1.0, float(np.max(np.abs(y)) if y.size else 0.0))
-    if detrend and y.size >= 8:
-        y = y - hp_filter(y, lamb)
+    y, tiny = _detrend(y)
     mu = median(y)
     s = mad(y, center=mu)
     if s <= tiny or not np.isfinite(s):

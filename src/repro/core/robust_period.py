@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acf import acf_med_period, huber_acf
+from .acf import acf_med_period, classic_acf, huber_acf
 from .fisher import fisher_test
-from .huber_periodogram import huber_periodogram, ordinary_periodogram
+from .huber_periodogram import (huber_periodogram, ordinary_periodogram,
+                                zero_pad)
 from .preprocess import preprocess
 from .wavelets import max_usable_level, modwt, robust_wavelet_variance
 
@@ -68,18 +69,14 @@ def detect_full(
     max_level: int = 12,
     energy_frac: float = 0.05,
     alpha: float = 0.01,
-    lamb: float | None = None,
-    c: float = 3.0,
     min_period: int = 4,
-    huber: bool = True,
-    robust_variance: bool = True,
-    use_huber_acf: bool = True,
+    robust: bool = True,
 ) -> RobustPeriodResult:
     """Run RobustPeriod with diagnostics.
 
-    The ``huber``/``robust_variance``/``use_huber_acf`` switches exist for
-    the NR-RobustPeriod ablation (Table 5) which shares this procedure
-    with all robust estimators replaced by their classical counterparts.
+    ``robust=False`` is the NR-RobustPeriod ablation (Table 5): the same
+    procedure with every robust estimator (wavelet variance, periodogram,
+    ACF) replaced by its classical counterpart.
 
     ``max_level`` is a ceiling only; the usable depth is governed by the
     series length (``max_usable_level``).  The paper's Fig. 5 runs 8
@@ -91,10 +88,10 @@ def detect_full(
     res = RobustPeriodResult()
     if n < 16:
         return res
-    x = preprocess(y, lamb=lamb, c=c)
+    x = preprocess(y)
     J = max_usable_level(n, wavelet, max_level)
     W, _ = modwt(x, wavelet, J)
-    nu2 = robust_wavelet_variance(W, wavelet, robust=robust_variance)
+    nu2 = robust_wavelet_variance(W, wavelet, robust=robust)
     total = float(nu2.sum())
     order = np.argsort(nu2)[::-1]
     res.levels = [LevelResult(level=j + 1, variance=float(nu2[j]))
@@ -107,10 +104,10 @@ def detect_full(
             continue
         lev.selected = True
         w = W[j]
-        xp = np.concatenate([w, np.zeros(n)])
+        xp = zero_pad(w)
         band_lo = n_prime // 2 ** (j + 2)
         band_hi = n_prime // 2 ** (j + 1)
-        if huber:
+        if robust:
             P = huber_periodogram(xp, exact_band=(band_lo, band_hi), n_data=n)
         else:
             P = ordinary_periodogram(xp)
@@ -123,11 +120,7 @@ def detect_full(
         lev.candidate = cand
         if cand < min_period or cand > n // 2:
             continue
-        if use_huber_acf:
-            a = huber_acf(P, n)
-        else:
-            from .acf import classic_acf
-            a = classic_acf(w)
+        a = huber_acf(P, n) if robust else classic_acf(w)
         period = acf_med_period(a, k_star, n)
         lev.period = period
         if period >= min_period:

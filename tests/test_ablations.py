@@ -1,9 +1,9 @@
 """Tests for the Table 5 ablation variants."""
 import numpy as np
 
-from repro.core.ablations import (acf_hill_valid, huber_fisher,
-                                  huber_siegel_acf, nr_robust_period)
-from repro.core.acf import classic_acf
+from repro.core.ablations import (huber_fisher, huber_siegel_acf,
+                                  nr_robust_period)
+from repro.core.acf import acf_hill_valid, classic_acf
 from repro.datasets import synthetic_series
 
 

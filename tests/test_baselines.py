@@ -96,7 +96,12 @@ class TestSAZED:
         assert sazed.detect_opt(_sin(480, 24)) == [24]
 
     def test_constant_series(self):
-        assert sazed.detect_maj(np.full(100, 3.0)) in ([], [2])
+        y = np.full(100, 3.0)
+        assert sazed.detect_maj(y) == [] and sazed.detect_opt(y) == []
+
+    def test_all_nan_series(self):
+        y = np.full(100, np.nan)
+        assert sazed.detect_maj(y) == [] and sazed.detect_opt(y) == []
 
 
 class TestSiegel:

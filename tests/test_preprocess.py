@@ -72,12 +72,6 @@ class TestPreprocess:
         out = preprocess(y)
         assert np.all(np.isfinite(out))
 
-    def test_detrend_false_keeps_offsetless_shape(self):
-        y = np.sin(2 * np.pi * np.arange(200) / 20)
-        out = preprocess(y, detrend=False)
-        k = np.argmax(np.abs(np.fft.rfft(out)[1:])) + 1
-        assert k == 10  # 200/20 cycles preserved
-
 
 class TestDetrendNormalize:
     def test_zero_mean_unit_std(self):

@@ -103,6 +103,13 @@ class TestNoPeriod:
         assert detect(np.ones(8)) == []
 
 
+class TestInvariance:
+    def test_scale_invariance(self):
+        y = synthetic_series(periods=(20, 50, 100), seed=1)
+        assert detect(1e-9 * y) == detect(1e-3 * y) == detect(y) \
+            == [20, 50, 100]
+
+
 class TestDiagnostics:
     def test_fig5_level_assignment(self):
         # Paper Fig. 5: true periods 20/50/100 detected at levels 4/5/6.
