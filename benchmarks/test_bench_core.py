@@ -9,7 +9,7 @@ import pytest
 
 from repro.baselines import autoperiod, siegel, wavelet_fisher
 from repro.core.hp_filter import hp_filter
-from repro.core.huber_periodogram import huber_periodogram
+from repro.core.huber_periodogram import huber_periodogram, zero_pad
 from repro.core.robust_period import detect
 from repro.core.wavelets import modwt
 from repro.datasets import synthetic_series
@@ -37,8 +37,16 @@ def test_bench_modwt(benchmark):
 @pytest.mark.benchmark(group="kernel")
 def test_bench_huber_periodogram(benchmark):
     y = _series(1000)
-    xp = np.concatenate([y - y.mean(), np.zeros(1000)])
+    xp = zero_pad(y - y.mean())
     benchmark(huber_periodogram, xp, exact_band=(20, 60), n_data=1000)
+
+
+@pytest.mark.benchmark(group="kernel")
+def test_bench_huber_periodogram_level1(benchmark):
+    # White noise selects wavelet level 1, whose band is half the spectrum:
+    # the worst case of the exact robust solve (K ≈ N/2 bins).
+    xp = zero_pad(np.random.default_rng(42).normal(0, 1, 1000))
+    benchmark(huber_periodogram, xp, exact_band=(500, 999), n_data=1000)
 
 
 @pytest.mark.parametrize("n", [500, 1000, 2000])

@@ -18,6 +18,7 @@ their local maximum so one spectral peak yields one period.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import exp, lgamma, log, log1p
 
 import numpy as np
@@ -59,8 +60,10 @@ def fisher_pvalue(g: float, m: int) -> float:
     return float(min(max(total, 0.0), 1.0))
 
 
+@lru_cache(maxsize=256)
 def fisher_g_critical(alpha: float, m: int) -> float:
-    """g_crit with P(g ≥ g_crit) = α, by bisection on the p-value."""
+    """g_crit with P(g ≥ g_crit) = α, by bisection on the p-value; cached
+    per (α, m), since every series of a suite repeats the same few m."""
     lo, hi = 1e-9, 1.0 - 1e-9
     for _ in range(200):
         mid = 0.5 * (lo + hi)

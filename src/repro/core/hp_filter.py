@@ -3,8 +3,8 @@
 The HP estimate solves ``(I + 2λ DᵀD) τ = y`` where ``D`` is the (N−2)×N
 second-difference operator.  The system matrix is symmetric positive
 definite and pentadiagonal, so we factor it with a banded LDLᵀ (bandwidth
-2) in O(N) — dense solves would need O(N²) memory at the N≈7200 cloud
-series of Table 4.
+2) in O(N), once per (N, λ) — dense solves would need O(N²) memory at the
+N≈7200 cloud series of Table 4.
 
 λ is not specified in the paper; we derive it from the HP frequency
 response: for this objective the smoother's gain is
@@ -14,6 +14,8 @@ anything slower than half the series is trend, which preserves every
 detectable period (≤ N/2 by definition).
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,13 +27,11 @@ def hp_lambda_for_cutoff(p_c: float) -> float:
     return 1.0 / (32.0 * np.sin(np.pi / p_c) ** 4)
 
 
-def _solve_pentadiagonal(d0: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-                         y: np.ndarray) -> np.ndarray:
-    """Solve ``A x = y`` for symmetric pentadiagonal SPD ``A``.
-
-    ``d0`` is the main diagonal (len N), ``d1`` the first sub/super
-    diagonal (len N−1), ``d2`` the second (len N−2).  Banded LDLᵀ.
-    """
+def _pentadiagonal_ldl(d0: np.ndarray, d1: np.ndarray, d2: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Banded LDLᵀ factor ``(d, l1, l2)`` of a symmetric pentadiagonal SPD
+    ``A``: ``d0`` is the main diagonal (len N), ``d1`` the first sub/super
+    diagonal (len N−1), ``d2`` the second (len N−2)."""
     n = d0.size
     d = np.empty(n)
     l1 = np.zeros(max(n - 1, 0))
@@ -52,6 +52,14 @@ def _solve_pentadiagonal(d0: np.ndarray, d1: np.ndarray, d2: np.ndarray,
             l1[i] = (d1[i] - l2[i - 1] * l1[i - 1] * d[i - 1]) / d[i]
         if i < n - 2:
             l2[i] = d2[i] / d[i]
+    return d, l1, l2
+
+
+def _ldl_solve(factor: tuple[np.ndarray, np.ndarray, np.ndarray],
+               y: np.ndarray) -> np.ndarray:
+    """Solve ``A x = y`` given the ``_pentadiagonal_ldl`` factor of ``A``."""
+    d, l1, l2 = factor
+    n = d.size
     # Forward solve L z = y
     z = np.empty(n)
     z[0] = y[0]
@@ -71,6 +79,24 @@ def _solve_pentadiagonal(d0: np.ndarray, d1: np.ndarray, d2: np.ndarray,
     return x
 
 
+@lru_cache(maxsize=8)
+def _hp_factor(n: int, lamb: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LDLᵀ factor of ``I + 2λ·DᵀD``, cached per (N, λ) because every
+    series of a suite has the same N; the arrays are read-only."""
+    c = 2.0 * lamb
+    d0 = np.full(n, 1.0 + 6.0 * c)
+    d0[0] = d0[-1] = 1.0 + 1.0 * c
+    d0[1] = d0[-2] = 1.0 + 5.0 * c
+    d1 = np.full(n - 1, -4.0 * c)
+    d1[0] = d1[-1] = -2.0 * c
+    d2 = np.full(n - 2, 1.0 * c)
+    factor = _pentadiagonal_ldl(d0, d1, d2)
+    for a in factor:
+        a.flags.writeable = False
+    return factor
+
+
 def hp_filter(y: np.ndarray, lamb: float | None = None) -> np.ndarray:
     """Return the HP trend estimate τ̂ of Eq. 2.
 
@@ -83,12 +109,4 @@ def hp_filter(y: np.ndarray, lamb: float | None = None) -> np.ndarray:
         return np.full(n, float(np.mean(y))) if n else y.copy()
     if lamb is None:
         lamb = hp_lambda_for_cutoff(n / 2.0)
-    # Diagonals of I + 2λ·DᵀD with D the second-difference operator.
-    c = 2.0 * lamb
-    d0 = np.full(n, 1.0 + 6.0 * c)
-    d0[0] = d0[-1] = 1.0 + 1.0 * c
-    d0[1] = d0[-2] = 1.0 + 5.0 * c
-    d1 = np.full(n - 1, -4.0 * c)
-    d1[0] = d1[-1] = -2.0 * c
-    d2 = np.full(n - 2, 1.0 * c)
-    return _solve_pentadiagonal(d0, d1, d2, y)
+    return _ldl_solve(_hp_factor(n, float(lamb)), y)

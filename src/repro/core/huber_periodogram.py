@@ -9,9 +9,10 @@ The M-periodogram at frequency index k is
 The paper solves the Huber case by ADMM; the objective is convex with a
 unique minimizer on the full-rank 2-column harmonic design, so IRLS
 converges to the same β̂ (documented substitution in DESIGN.md).  IRLS
-vectorizes across frequencies: all frequencies in a chunk share the
-residual/weight matrices, each iteration solving K independent 2×2
-weighted normal systems in closed form.
+vectorizes across frequencies: a cache-sized chunk of K frequencies shares
+K×N residual/weight arrays (N = the data half of a zero-padded series),
+each iteration solving K independent 2×2 weighted normal systems in
+closed form.
 
 Robust scale handling: the minimizer of the Huber problem with threshold
 ζ·σ̂ on data x equals σ̂ times the minimizer with threshold ζ on x/σ̂, so
@@ -19,13 +20,18 @@ we normalize by the MAD-based scale and use the standard ζ = 1.345.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import partial
+
 import numpy as np
 
-from .robust_stats import huber_weights, robust_scale
+from .robust_stats import huber_weights, lad_weights, robust_scale
 
 HUBER_ZETA = 1.345
 IRLS_MAX_ITER = 20
 IRLS_TOL = 1e-7
+CHUNK_ELEMS = 1 << 16   # rows per chunk ≈ CHUNK_ELEMS/N, within CHUNK_ROWS
+CHUNK_ROWS = (8, 256)
 
 
 def zero_pad(x: np.ndarray) -> np.ndarray:
@@ -40,47 +46,51 @@ def ordinary_periodogram(x: np.ndarray) -> np.ndarray:
     return (X.real**2 + X.imag**2) / x.size
 
 
-def _irls_chunk(x: np.ndarray, ks: np.ndarray, loss: str) -> np.ndarray:
-    """Solve the M-periodogram for a chunk of frequency indices.
+def _irls_chunk(x: np.ndarray, ks: np.ndarray, n: int,
+                weights: Callable[..., np.ndarray]) -> np.ndarray:
+    """Solve the M-periodogram of a length-``n`` series for a chunk of
+    frequency indices.  Returns ||β̂(k)||² per k.  ``weights(r, out=)`` is
+    the loss's IRLS weight function.  Each bin stops at its own ``IRLS_TOL``,
+    so its result does not depend on which bins share its chunk.
 
-    Returns ||β̂(k)||² per k.  ``loss`` is 'huber' or 'lad'.
+    ``x`` is the series, or the data half of ``[x, 0]`` (``zero_pad``) when
+    ``x.size < n``.  Fold: at ``t + n/2`` bin k's angle is ``θ_t + πk``, so
+    cos and sin flip sign together; the pad residual is ``|a·C_t + b·S_t|``
+    and ``C²``, ``C·S`` are unchanged, so the pad's weights add onto the
+    data-half grid (and the pad adds nothing to ``C·x``, ``S·x``).
     """
-    n = x.size
-    t = np.arange(n)
-    ang = 2.0 * np.pi * np.outer(ks, t) / n      # K×N
-    C = np.cos(ang)
-    S = np.sin(ang)
+    ang = 2.0 * np.pi / n * np.arange(n)
+    idx = np.outer(ks, np.arange(x.size)) % n
+    C, S = np.cos(ang)[idx], np.sin(ang)[idx]
+    CC, CS, Cx, Sx = C * C, C * S, C * x, S * x
     # OLS init (exact at Fourier frequencies).
-    a = 2.0 / n * (C @ x)
-    b = 2.0 / n * (S @ x)
+    a, b = 2.0 / n * Cx.sum(axis=1), 2.0 / n * Sx.sum(axis=1)
+    active = np.ones(ks.size, dtype=bool)
+    r, w, pad = np.empty_like(C), np.empty_like(C), np.empty_like(C)
     for _ in range(IRLS_MAX_ITER):
-        r = a[:, None] * C + b[:, None] * S - x[None, :]
-        if loss == "huber":
-            w = huber_weights(r, HUBER_ZETA)
-        else:  # LAD: w = 1/|r| with guard
-            absr = np.abs(r)
-            w = 1.0 / np.maximum(absr, 1e-8)
-        wc = w * C
-        Scc = np.einsum("kt,kt->k", wc, C)
-        Scs = np.einsum("kt,kt->k", wc, S)
-        Sss = np.einsum("kt,kt->k", w * S, S)
-        Scx = wc @ x
-        Ssx = (w * S) @ x
+        np.multiply(a[:, None], C, out=r)
+        r += np.multiply(b[:, None], S, out=w)
+        wpad = weights(r, out=pad) if x.size < n else 0.0
+        weights(np.subtract(r, x, out=r), out=w)
+        Scx, Ssx = np.einsum("kt,kt->k", w, Cx), np.einsum("kt,kt->k", w, Sx)
+        w += wpad
+        Scc, Scs = np.einsum("kt,kt->k", w, CC), np.einsum("kt,kt->k", w, CS)
+        Sss = w.sum(axis=1) - Scc          # cos² + sin² = 1
         det = Scc * Sss - Scs**2
-        ok = det > 1e-12
-        a_new = np.where(ok, (Sss * Scx - Scs * Ssx) / np.where(ok, det, 1.0), a)
-        b_new = np.where(ok, (Scc * Ssx - Scs * Scx) / np.where(ok, det, 1.0), b)
-        delta = np.max(np.abs(a_new - a) + np.abs(b_new - b))
+        ok = active & (det > 1e-12)
+        d = np.where(ok, det, 1.0)
+        a_new = np.where(ok, (Sss * Scx - Scs * Ssx) / d, a)
+        b_new = np.where(ok, (Scc * Ssx - Scs * Scx) / d, b)
+        active &= np.abs(a_new - a) + np.abs(b_new - b) >= IRLS_TOL
         a, b = a_new, b_new
-        if delta < IRLS_TOL:
+        if not active.any():
             break
     return a**2 + b**2
 
 
 def m_periodogram(x: np.ndarray, *, loss: str = "huber",
                   exact_band: tuple[int, int] | None = None,
-                  n_data: int | None = None,
-                  chunk: int = 256) -> np.ndarray:
+                  n_data: int | None = None) -> np.ndarray:
     """M-periodogram of Eq. 6 for k = 0..⌊N/2⌋.
 
     ``exact_band=(lo, hi)`` restricts the (expensive) robust solve to the
@@ -107,11 +117,14 @@ def m_periodogram(x: np.ndarray, *, loss: str = "huber",
     hi = min(nyq - 1 if n % 2 == 0 else nyq, int(hi))
     if hi < lo:
         return P
+    if n % 2 == 0 and not xn[nyq:].any():
+        xn = xn[:nyq]                   # [x, 0]: fold the pad (_irls_chunk)
+    rows = int(np.clip(CHUNK_ELEMS // xn.size, *CHUNK_ROWS))
+    weights = (partial(huber_weights, zeta=HUBER_ZETA) if loss == "huber"
+               else lad_weights)
     ks = np.arange(lo, hi + 1)
-    beta2 = np.empty(ks.size)
-    for s in range(0, ks.size, chunk):
-        sub = ks[s:s + chunk]
-        beta2[s:s + chunk] = _irls_chunk(xn, sub, loss)
+    beta2 = np.concatenate([_irls_chunk(xn, ks[s:s + rows], n, weights)
+                            for s in range(0, ks.size, rows)])
     P[ks] = (n / 4.0) * beta2 * sig**2
     return P
 

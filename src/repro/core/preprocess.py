@@ -5,8 +5,8 @@
 1. HP trend filter (Eq. 2) estimates τ̂; the series is detrended as
    ``ŷ = y − τ̂``;
 2. ``y' = ψ((ŷ − μ)/s)`` with μ = median, s = MAD, and the bounded
-   ψ(x) = sign(x)·min(|x|, c) — this both normalizes the scale and
-   coarsely clips extreme outliers (Dürre et al. 2015).
+   ψ(x) = sign(x)·min(|x|, c), c = ``PSI_CLIP_C`` — this both normalizes
+   the scale and coarsely clips extreme outliers (Dürre et al. 2015).
 
 NaNs (missing data, as in the cloud datasets of Table 4) are linearly
 interpolated first, matching the paper's handling of Data-5/6.
@@ -17,6 +17,9 @@ import numpy as np
 
 from .hp_filter import hp_filter
 from .robust_stats import mad, median, psi_clip
+
+#: ψ-clip threshold c of §3.2, in robust (MAD) units.
+PSI_CLIP_C = 3.0
 
 
 def interpolate_missing(y: np.ndarray) -> np.ndarray:
@@ -56,7 +59,7 @@ def detrend_normalize(y: np.ndarray) -> np.ndarray:
     return (y - float(np.mean(y))) / s if s > tiny else np.zeros_like(y)
 
 
-def preprocess(y: np.ndarray, *, c: float = 3.0) -> np.ndarray:
+def preprocess(y: np.ndarray) -> np.ndarray:
     """Normalized, detrended, outlier-clipped series y' of §3.2."""
     y, tiny = _detrend(y)
     mu = median(y)
@@ -65,4 +68,4 @@ def preprocess(y: np.ndarray, *, c: float = 3.0) -> np.ndarray:
         s = float(np.std(y))
     if s <= tiny or not np.isfinite(s):
         return np.zeros_like(y)
-    return psi_clip((y - mu) / s, c)
+    return psi_clip((y - mu) / s, PSI_CLIP_C)

@@ -4,7 +4,8 @@ The paper relies on three robust primitives:
 
 * median / MAD for normalization and outlier clipping (§3.2);
 * the biweight midvariance for the robust unbiased wavelet variance (Eq. 4);
-* Huber's ψ weights for the Huber-periodogram IRLS solver (Eq. 6-7).
+* Huber's ψ weights for the Huber-periodogram IRLS solver (Eq. 6-7),
+  and the LAD weights of its Fig. 6 comparison.
 
 Everything is pure numpy; no scipy is available in this container.
 """
@@ -74,16 +75,26 @@ def biweight_midvariance(x: np.ndarray, *, c: float = 9.0) -> float:
     return float(num / den)
 
 
-def huber_weights(r: np.ndarray, zeta: float) -> np.ndarray:
+def huber_weights(r: np.ndarray, zeta: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """IRLS weights for the Huber loss: 1 inside ``|r| ≤ ζ``, ``ζ/|r|`` outside.
 
     Minimizing Σ γ_ζ(r_t) by IRLS repeatedly solves the weighted LS problem
-    with these weights; this is the standard ψ(r)/r weight function.
+    with these weights; this is the standard ψ(r)/r weight function.  A NaN
+    residual gets weight 1 (``fmin`` ignores the NaN of ζ/NaN).  ``out``
+    receives the weights in place (it may be ``r`` itself).
     """
-    a = np.abs(r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(a <= zeta, 1.0, zeta / a)
-    return np.where(np.isfinite(w), w, 1.0)
+    a = np.abs(r, out=out)
+    with np.errstate(divide="ignore"):
+        np.divide(zeta, a, out=a)
+    return np.fmin(a, 1.0, out=a)
+
+
+def lad_weights(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """IRLS weights for the LAD loss, ``1/max(|r|, 1e-8)`` (the guard keeps
+    a zero residual finite); ``out`` as in :func:`huber_weights`."""
+    a = np.maximum(np.abs(r, out=out), 1e-8, out=out)
+    return np.divide(1.0, a, out=a)
 
 
 def psi_clip(x: np.ndarray, c: float) -> np.ndarray:

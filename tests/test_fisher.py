@@ -71,6 +71,12 @@ class TestCriticalValue:
         g = fisher_g_critical(alpha, m)
         assert fisher_pvalue(g, m) == pytest.approx(alpha, rel=0.02)
 
+    @pytest.mark.parametrize("alpha,m", [(0.01, 499), (0.01, 999), (0.05, 50)])
+    def test_cached_equals_fresh_bisection(self, alpha, m):
+        fresh = fisher_g_critical.__wrapped__(alpha, m)
+        assert fisher_g_critical(alpha, m) == fresh
+        assert fisher_g_critical(alpha, m) == fresh   # served from the cache
+
     def test_stricter_alpha_larger_critical(self):
         assert fisher_g_critical(0.01, 100) > fisher_g_critical(0.05, 100)
 

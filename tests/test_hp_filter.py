@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.hp_filter import (_solve_pentadiagonal, hp_filter,
-                                  hp_lambda_for_cutoff)
+from repro.core.hp_filter import (_hp_factor, _ldl_solve, _pentadiagonal_ldl,
+                                  hp_filter, hp_lambda_for_cutoff)
 
 
 def _dense_hp(y, lamb):
@@ -27,7 +27,8 @@ class TestPentadiagonalSolver:
     def test_identity_system(self):
         # d1=d2=0 → A=diag(d0); solve is y/d0.
         y = np.array([2.0, 4.0, 6.0, 8.0])
-        x = _solve_pentadiagonal(np.full(4, 2.0), np.zeros(3), np.zeros(2), y)
+        x = _ldl_solve(_pentadiagonal_ldl(np.full(4, 2.0), np.zeros(3),
+                                          np.zeros(2)), y)
         np.testing.assert_allclose(x, y / 2.0)
 
     def test_random_spd_system(self):
@@ -39,11 +40,23 @@ class TestPentadiagonalSolver:
         A = np.diag(d0) + np.diag(d1, 1) + np.diag(d1, -1) \
             + np.diag(d2, 2) + np.diag(d2, -2)
         y = rng.normal(0, 1, n)
-        np.testing.assert_allclose(_solve_pentadiagonal(d0, d1, d2, y),
-                                   np.linalg.solve(A, y), rtol=1e-9)
+        x = _ldl_solve(_pentadiagonal_ldl(d0, d1, d2), y)
+        np.testing.assert_allclose(x, np.linalg.solve(A, y), rtol=1e-9)
 
 
 class TestHPFilter:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 500, 1000, 2001])
+    def test_cached_factor_bit_identical(self, n):
+        rng = np.random.default_rng(n)
+        lamb = hp_lambda_for_cutoff(n / 2.0)
+        uncached = _hp_factor.__wrapped__(n, lamb)
+        for _ in range(2):          # first call fills the cache, then hits it
+            y = rng.normal(0, 1, n)
+            np.testing.assert_array_equal(hp_filter(y),
+                                          _ldl_solve(uncached, y))
+        with pytest.raises(ValueError):
+            _hp_factor(n, lamb)[0][0] = 0.0
+
     def test_linear_trend_in_nullspace(self):
         # Second differences of a line are 0 → the line is untouched
         # (up to the identity part): τ̂ of a pure line IS the line.

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.preprocess import (detrend_normalize, interpolate_missing,
-                                   preprocess)
+from repro.core.preprocess import (PSI_CLIP_C, detrend_normalize,
+                                   interpolate_missing, preprocess)
 
 
 class TestInterpolateMissing:
@@ -40,8 +40,8 @@ class TestPreprocess:
         rng = np.random.default_rng(0)
         y = rng.normal(0, 1, 500)
         y[10] = 1e6
-        out = preprocess(y, c=3.0)
-        assert np.max(np.abs(out)) <= 3.0
+        out = preprocess(y)
+        assert np.max(np.abs(out)) <= PSI_CLIP_C == 3.0
 
     def test_removes_trend(self):
         t = np.arange(1000)
