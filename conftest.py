@@ -56,17 +56,19 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
+    pre-JVM-launch). The per-session confs that *are* honoured post-launch
+    are ``repro.sparkrun.SESSION_CONF``, shared with ``jobs/_common.py``;
+    ``SPARK_SHUFFLE_PARTITIONS`` overrides its shuffle partition count.
     """
+    # Imported here, not at the top: ``pytest perfbench`` loads this file
+    # before perfbench puts ``src`` on the path.
+    from repro.sparkrun import SESSION_CONF
+
+    shuffle = os.environ.get("SPARK_SHUFFLE_PARTITIONS",
+                             SESSION_CONF["spark.sql.shuffle.partitions"])
     s = (
         SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config(map={**SESSION_CONF, "spark.sql.shuffle.partitions": shuffle})
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

@@ -10,11 +10,11 @@ import sys
 
 from pyspark.sql import SparkSession
 
+from repro.sparkrun import SESSION_CONF
+
 
 def get_spark(app: str) -> SparkSession:
-    return (SparkSession.builder.appName(app)
-            .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-            .config("spark.sql.autoBroadcastJoinThreshold", -1)
+    return (SparkSession.builder.appName(app).config(map=SESSION_CONF)
             .getOrCreate())
 
 

@@ -2,11 +2,12 @@
 
 The paper's contribution is a per-series algorithm (repro hint:
 ``single_node_parallelizable``), so the Spark layering is a DataFrame
-job: series live in a long-format DataFrame ``(dataset, series_id, t,
-y)``; ``groupBy(dataset, series_id).applyInPandas`` fans each series out
-to an Arrow-backed task that runs every requested algorithm and emits
-one row per (series, algorithm) with the detected periods (JSON) and the
-wall-clock time — the timing column feeds Table 7.
+job with no shuffle: the driver turns the long-format pandas frame
+``(dataset, series_id, t, y)`` into one row per series ``(dataset,
+series_id, y: array<double>)``, and ``mapInPandas`` runs every requested
+algorithm on each row, emitting one row per (series, algorithm) with the
+detected periods (JSON), the wall-clock time — the timing column feeds
+Table 7 — and the error, if the algorithm raised.
 
 All algorithms are exposed through one registry so jobs/tests select
 them by name.
@@ -19,6 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import (DoubleType, IntegerType, StringType,
@@ -54,54 +56,55 @@ DETECT_SCHEMA = StructType([
     StructField("periods", StringType()),   # JSON int list
     StructField("n_periods", IntegerType()),
     StructField("elapsed_s", DoubleType()),
+    StructField("error", StringType()),     # "<ExceptionType>: <message>" or null
 ])
 
 
 def series_df(spark: SparkSession, data: pd.DataFrame,
               partitions: int | None = None) -> DataFrame:
-    """Long-format pandas frame → Spark DataFrame, repartitioned by series
-    so detection tasks spread across cores."""
-    df = spark.createDataFrame(data)
-    n_series = data[["dataset", "series_id"]].drop_duplicates().shape[0]
-    if partitions is None:
-        partitions = max(1, min(n_series, spark.sparkContext.defaultParallelism * 2))
-    return df.repartition(partitions, "dataset", "series_id")
+    """Long-format pandas frame → one row per series, ``y`` in ``t`` order.
 
-
-def _make_detect_fn(algos: Iterable[str]):
-    algos = list(algos)
-
-    def detect_group(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("t")
-        y = pdf["y"].to_numpy(dtype=float)
-        dataset = pdf["dataset"].iloc[0]
-        sid = int(pdf["series_id"].iloc[0])
-        out = []
-        for name in algos:
-            fn = ALGOS[name]
-            t0 = time.perf_counter()
-            try:
-                periods = sorted(int(p) for p in fn(y))
-            except Exception:
-                periods = []
-            dt = time.perf_counter() - t0
-            out.append((dataset, sid, name, json.dumps(periods),
-                        len(periods), dt))
-        return pd.DataFrame(out, columns=[f.name for f in DETECT_SCHEMA.fields])
-
-    return detect_group
+    ``createDataFrame`` cuts the n rows into p = min(n, defaultParallelism)
+    slices at j·n//p, one per task; the rows are laid out so the slices
+    are a longest-first round-robin deal, a similar mix of costs per task.
+    ``partitions`` is unused: another slice count would take a shuffle."""
+    rows = sorted(((d, int(s), y.to_numpy(dtype=float)) for (d, s), y in
+                   data.sort_values("t").groupby(["dataset", "series_id"])["y"]),
+                  key=lambda r: -len(r[2]))
+    n = len(rows)
+    p = min(n, spark.sparkContext.defaultParallelism)
+    seats = sorted((r, j) for j in range(p)
+                   for r in range((j + 1) * n // p - j * n // p))
+    rows = [rows[k] for k in sorted(range(n), key=lambda k: seats[k][::-1])]
+    return spark.createDataFrame(pa.Table.from_arrays(
+        list(zip(*rows)), names=["dataset", "series_id", "y"]))
 
 
 def detect_periods(spark: SparkSession, data: pd.DataFrame,
                    algos: Iterable[str]) -> DataFrame:
     """Run the named algorithms over every series; one output row per
     (dataset, series_id, algo)."""
-    unknown = set(algos) - set(ALGOS)
-    if unknown:
+    algos = list(algos)
+    if unknown := set(algos) - set(ALGOS):
         raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-    sdf = series_df(spark, data)
-    return (sdf.groupBy("dataset", "series_id")
-            .applyInPandas(_make_detect_fn(algos), schema=DETECT_SCHEMA))
+
+    def detect_batches(batches: Iterable[pd.DataFrame]) -> Iterable[pd.DataFrame]:
+        for pdf in batches:
+            out = []
+            for dataset, sid, y in zip(pdf["dataset"], pdf["series_id"], pdf["y"]):
+                y = np.array(y, dtype=float)   # writable copy of the Arrow buffer
+                for name in algos:
+                    t0 = time.perf_counter()
+                    try:
+                        periods, error = sorted(int(p) for p in ALGOS[name](y)), None
+                    except Exception as e:
+                        periods, error = [], f"{type(e).__name__}: {e}"
+                    dt = time.perf_counter() - t0
+                    out.append((dataset, sid, name, json.dumps(periods),
+                                len(periods), dt, error))
+            yield pd.DataFrame(out, columns=DETECT_SCHEMA.fieldNames())
+
+    return series_df(spark, data).mapInPandas(detect_batches, schema=DETECT_SCHEMA)
 
 
 def timing_summary(det: DataFrame) -> DataFrame:

@@ -1,12 +1,13 @@
 """Detection scoring: tolerance matching + Spark SQL aggregation.
 
-Per-series matching (greedy, pandas inside ``applyInPandas``): each true
-period is matched to the nearest unused detected period within the
-tolerance (±0% = exact integer match; ±q% = |det − true| ≤ q·true,
-minimum slack 1 sample so a ±2% band is non-degenerate for short
-periods, as in the paper's "2% tolerance interval around the ground
-truth").  Matched pairs are TP; unmatched detections FP; unmatched
-truths FN.
+Per-series matching (greedy, in one ``mapInPandas`` over the detections
+with the truth shipped as a dict, so nothing is joined or shuffled
+before the aggregate): each true period is matched to the nearest unused
+detected period within the tolerance (±0% = exact integer match; ±q% =
+|det − true| ≤ q·true, minimum slack 1 sample so a ±2% band is
+non-degenerate for short periods, as in the paper's "2% tolerance
+interval around the ground truth").  Matched pairs are TP; unmatched
+detections FP; unmatched truths FN.
 
 The aggregation to precision/recall/F1 per (dataset, algo) is a Spark
 SQL query; tests oracle-check it against DuckDB via
@@ -15,6 +16,7 @@ SQL query; tests oracle-check it against DuckDB via
 from __future__ import annotations
 
 import json
+from typing import Iterable
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -69,28 +71,24 @@ def match_counts(detected: list[int], truth: list[int], tol: float
     return tp, fp, fn
 
 
-def _match_fn(tols: tuple[float, ...]):
-    def match_group(pdf: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for _, row in pdf.iterrows():
-            det = json.loads(row["periods"])
-            tru = json.loads(row["true_periods"])
-            for tol in tols:
-                tp, fp, fn = match_counts(det, tru, tol)
-                out.append((row["dataset"], int(row["series_id"]),
-                            row["algo"], float(tol), tp, fp, fn))
-        return pd.DataFrame(out, columns=[f.name for f in MATCH_SCHEMA.fields])
-    return match_group
-
-
 def match_df(spark: SparkSession, det: DataFrame, truth: pd.DataFrame,
              tols: tuple[float, ...] = (0.0, 0.02)) -> DataFrame:
-    """Join detections with truth and compute per-series TP/FP/FN rows."""
-    tdf = spark.createDataFrame(
-        truth.rename(columns={"periods": "true_periods"}))
-    joined = det.join(tdf, on=["dataset", "series_id"], how="inner")
-    return (joined.groupBy("dataset", "series_id", "algo")
-            .applyInPandas(_match_fn(tuple(tols)), schema=MATCH_SCHEMA))
+    """Per-series TP/FP/FN rows; a detection whose series has no truth row
+    is dropped."""
+    tru = {(d, int(s)): json.loads(p) for d, s, p in
+           zip(truth["dataset"], truth["series_id"], truth["periods"])}
+
+    def match_batches(batches: Iterable[pd.DataFrame]) -> Iterable[pd.DataFrame]:
+        for pdf in batches:
+            keys = zip(pdf["dataset"], pdf["series_id"])
+            yield pd.DataFrame(
+                [(*k, algo, float(tol), *match_counts(json.loads(p), tru[k], tol))
+                 for k, algo, p in zip(keys, pdf["algo"], pdf["periods"])
+                 if k in tru for tol in tols],
+                columns=MATCH_SCHEMA.fieldNames())
+
+    return (det.select("dataset", "series_id", "algo", "periods")
+            .mapInPandas(match_batches, schema=MATCH_SCHEMA))
 
 
 def score(spark: SparkSession, det: DataFrame, truth: pd.DataFrame,

@@ -83,6 +83,14 @@ class TestSparkScoring:
         row = m[(m.algo == "algoA") & (m.series_id == 1) & (m.tol == 0.02)]
         assert (int(row.tp.iloc[0]), int(row.fp.iloc[0]), int(row.fn.iloc[0])) == (2, 0, 1)
 
+    def test_match_df_drops_series_without_truth(self, spark, det_truth):
+        # As an inner join would: a detection row with no truth row for
+        # its series produces no match rows.
+        det, truth = det_truth
+        m = match_df(spark, det, truth[truth.series_id == 0]).toPandas()
+        assert set(m.series_id) == {0} and len(m) == 2 * 2  # 2 algos × 2 tols
+        assert match_df(spark, det, truth.iloc[:0]).count() == 0
+
     def test_score_values(self, spark, det_truth):
         det, truth = det_truth
         s = score(spark, det, truth).toPandas()

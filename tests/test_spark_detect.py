@@ -1,14 +1,17 @@
-"""Tests for the Spark applyInPandas detection layer."""
+"""Tests for the Spark mapInPandas detection layer."""
 import json
 
 import numpy as np
+import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro import datasets
 from repro.core.robust_period import detect as rp_detect
 from repro.oracle import assert_equivalent
 from repro.sparkrun.detect import (ALGOS, detect_periods, series_df,
                                    timing_summary)
+from repro.sparkrun.metrics import score
 
 
 @pytest.fixture(scope="module")
@@ -31,15 +34,46 @@ class TestRegistry:
             detect_periods(spark, data, ["nope"])
 
 
-class TestSeriesDF:
-    def test_schema(self, spark, small_suite):
-        data, _ = small_suite
-        sdf = series_df(spark, data)
-        assert set(sdf.columns) == {"dataset", "series_id", "t", "y"}
+@pytest.fixture(scope="module")
+def ragged(spark):
+    """2p + 3 series of distinct lengths (p = defaultParallelism), rows
+    in shuffled order."""
+    p = spark.sparkContext.defaultParallelism
+    rng = np.random.default_rng(0)
+    lengths = rng.permutation(np.arange(2 * p + 3) * 5 + 8)
+    data = pd.concat([pd.DataFrame({"dataset": "r", "series_id": i,
+                                    "t": np.arange(n), "y": rng.normal(size=n)})
+                      for i, n in enumerate(lengths)], ignore_index=True)
+    return data.sample(frac=1, random_state=1), p
 
-    def test_row_count(self, spark, small_suite):
+
+class TestSeriesDF:
+    def test_one_row_per_series(self, spark, small_suite):
         data, _ = small_suite
-        assert series_df(spark, data).count() == len(data)
+        pdf = series_df(spark, data).toPandas()
+        assert set(pdf.columns) == {"dataset", "series_id", "y"}
+        assert len(pdf) == len(data.groupby(["dataset", "series_id"]))
+        assert not pdf.duplicated(["dataset", "series_id"]).any()
+
+    def test_y_in_t_order_from_shuffled_rows(self, spark, ragged):
+        # Rows arrive in any order; the driver must sort each series by t.
+        data, _ = ragged
+        pdf = series_df(spark, data).toPandas()
+        for sid, y in zip(pdf["series_id"], pdf["y"]):
+            want = data[data.series_id == sid].sort_values("t")["y"]
+            np.testing.assert_array_equal(y, want.to_numpy())
+
+    def test_balanced_partitions(self, spark, ragged):
+        # Read the partition ids where detection runs: a projection
+        # straight over series_df is evaluated in the driver.
+        data, p = ragged
+        pdf = (detect_periods(spark, data, ["find_frequency"])
+               .select("series_id", F.spark_partition_id().alias("part"))
+               .toPandas())
+        pdf["n"] = pdf["series_id"].map(data.groupby("series_id").size())
+        counts = pdf["part"].value_counts()
+        assert len(counts) == p and counts.max() - counts.min() <= 1
+        assert pdf.nlargest(p, "n")["part"].nunique() == p
 
 
 class TestDetectPeriods:
@@ -49,8 +83,10 @@ class TestDetectPeriods:
         pdf = det.toPandas()
         assert len(pdf) == 6  # 3 series × 2 algos
         assert set(pdf.columns) == {"dataset", "series_id", "algo",
-                                    "periods", "n_periods", "elapsed_s"}
+                                    "periods", "n_periods", "elapsed_s",
+                                    "error"}
         assert (pdf["elapsed_s"] > 0).all()
+        assert pdf["error"].isna().all()
 
     def test_matches_local_detection(self, spark, small_suite):
         # The Spark path must produce byte-identical detections to calling
@@ -84,8 +120,8 @@ class TestDetectPeriods:
         det.unpersist()
 
     def test_algorithm_exception_yields_empty(self, spark, small_suite, monkeypatch):
-        # A crashing algorithm must produce an empty detection row, not
-        # fail the whole Spark job.
+        # A crashing algorithm must produce an empty detection row that
+        # names the error, not fail the whole Spark job.
         data, _ = small_suite
         import repro.sparkrun.detect as D
 
@@ -96,3 +132,24 @@ class TestDetectPeriods:
         det = detect_periods(spark, data[data.series_id == 0], ["sazed_maj"])
         pdf = det.toPandas()
         assert len(pdf) == 1 and json.loads(pdf.iloc[0]["periods"]) == []
+        assert pdf.iloc[0]["error"] == "RuntimeError: kaboom"
+
+
+def _executed_plan(df) -> str:
+    return df._jdf.queryExecution().executedPlan().toString()
+
+
+class TestShuffleFree:
+    def test_detect_has_no_exchange(self, spark, small_suite):
+        data, _ = small_suite
+        plan = _executed_plan(detect_periods(spark, data, ["siegel"]))
+        assert "MapInPandas" in plan and "Exchange" not in plan
+
+    def test_score_shuffles_only_in_aggregate(self, spark, small_suite):
+        # Only AGG_SQL's aggregate and sort may shuffle: nothing is joined
+        # and nothing below the matching MapInPandas is exchanged.
+        data, truth = small_suite
+        det = detect_periods(spark, data, ["siegel"])
+        plan = _executed_plan(score(spark, det, truth))
+        assert "Join" not in plan
+        assert "Exchange" not in plan[plan.index("MapInPandas"):]
