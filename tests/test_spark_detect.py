@@ -48,10 +48,15 @@ def ragged(spark):
 
 
 class TestSeriesDF:
-    def test_one_row_per_series(self, spark, small_suite):
+    def test_schema(self, spark, small_suite):
+        data, _ = small_suite
+        sdf = series_df(spark, data)
+        assert set(sdf.columns) == {"dataset", "series_id", "y"}
+
+    def test_row_count(self, spark, small_suite):
+        # One row per series, each (dataset, series_id) key once.
         data, _ = small_suite
         pdf = series_df(spark, data).toPandas()
-        assert set(pdf.columns) == {"dataset", "series_id", "y"}
         assert len(pdf) == len(data.groupby(["dataset", "series_id"]))
         assert not pdf.duplicated(["dataset", "series_id"]).any()
 
