@@ -15,17 +15,21 @@ from repro.core.preprocess import detrend_normalize
 from repro.core.robust_period import merge_periods
 from repro.core.wavelets import dwt
 
+WAVELET = "db4"
+#: Ceiling on the DWT depth; the depth used is ``log2(N) − 3``.
+MAX_LEVEL = 8
 
-def detect(y: np.ndarray, *, wavelet: str = "db4", max_level: int = 8,
-           alpha: float = 0.01, min_period: int = 2) -> list[int]:
+
+def detect(y: np.ndarray, *, alpha: float = 0.01,
+           min_period: int = 2) -> list[int]:
     """Periods from per-level Fisher tests (near-duplicates merged)."""
     y = np.asarray(y, dtype=float)
     n = y.size
     if n < 32:
         return []
     x = detrend_normalize(y)
-    level = max(1, min(max_level, int(np.log2(n)) - 3))
-    details, _ = dwt(x, wavelet, level)
+    level = max(1, min(MAX_LEVEL, int(np.log2(n)) - 3))
+    details, _ = dwt(x, WAVELET, level)
     found: list[tuple[int, float]] = []
     for j, d in enumerate(details, start=1):
         if d.size < 8:

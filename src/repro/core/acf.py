@@ -2,9 +2,9 @@
 (Eq. 13), peak detection, and the Huber-ACF-Med period validation.
 
 Huber-ACF: the level series is zero-padded to N' = 2N *before* the
-periodogram, so the inverse DFT of the full-range (mirrored) periodogram
-is the *linear* (not circular) autocovariance sum Σ_n x_n x_{n+t}; the
-unbiased normalization divides by (N−t).  We normalize so ACF(0) = 1
+periodogram, so the inverse real DFT of the one-sided periodogram is the
+*linear* (not circular) autocovariance sum Σ_n x_n x_{n+t}; the unbiased
+normalization divides by (N−t).  We normalize so ACF(0) = 1
 (``N·p_t/((N−t)·p_0)``) — the printed Eq. 13 gives ACF(0)=1/N, at odds
 with the paper's own Fig. 5/6 plots; see DESIGN.md §5.
 
@@ -39,24 +39,10 @@ def classic_acf(w: np.ndarray, unbiased: bool = True) -> np.ndarray:
     return acov / denom
 
 
-def full_range_periodogram(P_half: np.ndarray, n_prime: int) -> np.ndarray:
-    """Mirror a one-sided periodogram (bins 0..N'/2) to the full range.
-
-    ``P̄_k = P_k`` for k ≤ N'/2, ``P̄_{N'−k} = P_k`` otherwise (real data).
-    """
-    nyq = n_prime // 2
-    full = np.empty(n_prime)
-    full[: nyq + 1] = P_half[: nyq + 1]
-    full[nyq + 1:] = P_half[1:nyq][::-1]
-    return full
-
-
 def huber_acf(P_half: np.ndarray, n: int) -> np.ndarray:
     """Huber-ACF (Eq. 13) from the one-sided Huber-periodogram of the
     zero-padded (N' = 2N) level series.  Returns lags 0..N−1, ACF(0)=1."""
-    n_prime = 2 * n
-    full = full_range_periodogram(P_half, n_prime)
-    p = np.real(np.fft.ifft(full))[:n]
+    p = np.fft.irfft(P_half[:n + 1], 2 * n)[:n]
     if p[0] == 0:
         return np.zeros(n)
     t = np.arange(n)

@@ -37,11 +37,15 @@ def interpolate_missing(y: np.ndarray) -> np.ndarray:
 
 def _detrend(y: np.ndarray) -> tuple[np.ndarray, float]:
     """NaN-interpolated, HP-detrended ``y`` (Eq. 2), and the scale floor
-    below which it counts as flat.  The floor is relative to max|y| so the
-    HP residual of a constant maps to zeros, not to amplified float noise,
-    at any input scale."""
+    below which it counts as flat.  The median goes first, because the HP
+    solve's rounding error grows with the offset (~1e-8·offset).  The floor
+    is relative to max|y − median| so the HP residual of a constant maps to
+    zeros, not to amplified float noise, at any scale or offset."""
     y = interpolate_missing(y)
-    tiny = 1e-8 * float(np.max(np.abs(y))) if y.size else 0.0
+    if y.size == 0:
+        return y, 0.0
+    y = y - np.median(y)
+    tiny = 1e-8 * float(np.max(np.abs(y)))
     if y.size >= 8:
         y = y - hp_filter(y)
     return y, tiny

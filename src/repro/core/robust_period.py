@@ -22,6 +22,14 @@ from .huber_periodogram import (huber_periodogram, ordinary_periodogram,
 from .preprocess import preprocess
 from .wavelets import max_usable_level, modwt, robust_wavelet_variance
 
+#: Decoupling wavelet.
+WAVELET = "db10"
+#: Ceiling on the MODWT depth; the usable depth is governed by the series
+#: length (``max_usable_level``).  The paper's Fig. 5 runs 8 levels on
+#: N=1000; a daily period at minute resolution (T=1440, the cloud datasets
+#: of Table 4) needs level 10, hence 12.
+MAX_LEVEL = 12
+
 
 @dataclass
 class LevelResult:
@@ -65,8 +73,6 @@ def merge_periods(cands: list[tuple[int, float]],
 def detect_full(
     y: np.ndarray,
     *,
-    wavelet: str = "db10",
-    max_level: int = 12,
     energy_frac: float = 0.05,
     alpha: float = 0.01,
     min_period: int = 4,
@@ -77,11 +83,6 @@ def detect_full(
     ``robust=False`` is the NR-RobustPeriod ablation (Table 5): the same
     procedure with every robust estimator (wavelet variance, periodogram,
     ACF) replaced by its classical counterpart.
-
-    ``max_level`` is a ceiling only; the usable depth is governed by the
-    series length (``max_usable_level``).  The paper's Fig. 5 runs 8
-    levels on N=1000; a daily period at minute resolution (T=1440, the
-    cloud datasets of Table 4) needs level 10, hence the default of 12.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -89,9 +90,9 @@ def detect_full(
     if n < 16:
         return res
     x = preprocess(y)
-    J = max_usable_level(n, wavelet, max_level)
-    W, _ = modwt(x, wavelet, J)
-    nu2 = robust_wavelet_variance(W, wavelet, robust=robust)
+    J = max_usable_level(n, MAX_LEVEL)
+    W, _ = modwt(x, WAVELET, J)
+    nu2 = robust_wavelet_variance(W, WAVELET, robust=robust)
     total = float(nu2.sum())
     order = np.argsort(nu2)[::-1]
     res.levels = [LevelResult(level=j + 1, variance=float(nu2[j]))

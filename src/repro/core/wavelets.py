@@ -1,13 +1,11 @@
 """Daubechies wavelet filters, MODWT/DWT transforms, and the robust
 unbiased wavelet variance of Eq. 4.
 
-No pywt/scipy in this container, so the filters are built here:
-
-* db1 (Haar) and db2 use the exact closed-form coefficients;
-* db3..db10 are computed by spectral factorization (roots of the
-  Daubechies polynomial via ``numpy.roots``), the standard construction
-  from Daubechies (1992) — property tests assert Σh=√2, unit energy and
-  orthonormality of even shifts.
+No pywt/scipy in this container, so the filters are built here by
+spectral factorization (roots of the Daubechies polynomial via
+``numpy.roots``), the standard construction from Daubechies (1992) —
+property tests assert Σh=√2, unit energy and orthonormality of even
+shifts, and the db1/db2 closed forms.
 
 Conventions follow Percival & Walden (2000), the reference the paper
 cites for MODWT: ``g`` is the *scaling* (low-pass) filter, ``h`` the
@@ -16,7 +14,9 @@ cites for MODWT: ``g`` is the *scaling* (low-pass) filter, ``h`` the
 ``h̃ = h/√2``, ``g̃ = g/√2`` and circular filtering, giving the
 energy-preserving, shift-invariant transform of §3.3 whose level-j
 wavelet coefficients carry the nominal octave band
-``1/2^{j+1} ≤ |f| ≤ 1/2^j`` (period band ``[2^j, 2^{j+1}]``).
+``1/2^{j+1} ≤ |f| ≤ 1/2^j`` (period band ``[2^j, 2^{j+1}]``).  Both
+transforms run in the frequency domain (Percival & Walden 2000, §5.4);
+the DWT is the MODWT subsampled.
 """
 from __future__ import annotations
 
@@ -28,16 +28,6 @@ import numpy as np
 from .robust_stats import biweight_midvariance
 
 _SQRT2 = np.sqrt(2.0)
-
-# Exact closed forms for the two smallest filters (cross-checks for the
-# spectral factorization path).
-_EXACT_SCALING = {
-    1: np.array([1.0, 1.0]) / _SQRT2,
-    2: np.array(
-        [1 + np.sqrt(3.0), 3 + np.sqrt(3.0), 3 - np.sqrt(3.0), 1 - np.sqrt(3.0)]
-    )
-    / (4.0 * _SQRT2),
-}
 
 
 @lru_cache(maxsize=None)
@@ -53,8 +43,6 @@ def daubechies_scaling(p: int) -> np.ndarray:
     """
     if p < 1:
         raise ValueError("vanishing moments must be >= 1")
-    if p in _EXACT_SCALING:
-        return _EXACT_SCALING[p].copy()
     # Roots of P(y).
     coeffs = [comb(p - 1 + k, k) for k in range(p - 1, -1, -1)]  # highest first
     yroots = np.roots(coeffs)
@@ -99,7 +87,7 @@ def filter_width(j: int, L1: int) -> int:
     return (2**j - 1) * (L1 - 1) + 1
 
 
-def max_usable_level(n: int, wavelet: str = "db2", requested: int = 8) -> int:
+def max_usable_level(n: int, requested: int = 8) -> int:
     """Largest level J ≤ requested whose period band still fits at least
     two full cycles in the series: ``2^{J+1} ≤ n/2``.  (Deeper levels can
     never yield a validatable period; the paper's level-8 rows on N=1000
@@ -109,33 +97,31 @@ def max_usable_level(n: int, wavelet: str = "db2", requested: int = 8) -> int:
 
 
 def modwt(x: np.ndarray, wavelet: str = "db2", level: int = 8):
-    """Maximal-overlap DWT (circular, pyramid algorithm).
+    """Maximal-overlap DWT (circular, frequency domain).
 
     Returns ``(W, v)`` where ``W`` is a (level, N) array of wavelet
     coefficients ``w_{j,t}`` and ``v`` the final (level-J) scaling
     coefficients.  Satisfies ``||x||² = Σ_j ||W[j]||² + ||v||²``.
+
+    Level j filters the level-(j−1) scaling coefficients circularly with
+    ``h̃``/``g̃`` upsampled by 2^{j−1}, whose DFT at bin k is the filter's
+    DFT at bin ``k·2^{j−1} mod N``.  The filters are wrapped onto N bins
+    first, because db10 (L = 20) is longer than the shortest series.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     p = _parse_wavelet(wavelet)
-    g = daubechies_scaling(p) / _SQRT2
-    h = daubechies_wavelet(p) / _SQRT2
-    L = g.size
+    wrap = np.arange(2 * p) % n
+    G = np.fft.fft(np.bincount(wrap, daubechies_scaling(p) / _SQRT2, n))
+    H = np.fft.fft(np.bincount(wrap, daubechies_wavelet(p) / _SQRT2, n))
+    X = np.fft.rfft(x)
+    k = np.arange(X.size)
     W = np.empty((level, n))
-    v = x.copy()
-    t = np.arange(n)
-    for j in range(1, level + 1):
-        stride = 2 ** (j - 1)
-        wj = np.zeros(n)
-        vj = np.zeros(n)
-        for l in range(L):
-            idx = (t - stride * l) % n
-            vl = v[idx]
-            wj += h[l] * vl
-            vj += g[l] * vl
-        W[j - 1] = wj
-        v = vj
-    return W, v
+    for j in range(level):
+        f = (k << j) % n
+        W[j] = np.fft.irfft(X * H[f], n)
+        X = X * G[f]
+    return W, np.fft.irfft(X, n)
 
 
 def dwt(x: np.ndarray, wavelet: str = "db2", level: int = 4):
@@ -143,29 +129,15 @@ def dwt(x: np.ndarray, wavelet: str = "db2", level: int = 4):
 
     The input is truncated to a multiple of ``2^level``.  Returns the list
     of detail coefficient arrays ``[d_1, …, d_J]`` and the final
-    approximation ``a_J``.
+    approximation ``a_J``: the MODWT subsampled at ``t = 2^j − 1 mod 2^j``
+    and rescaled by ``2^{j/2}`` (Percival & Walden 2000, §5.4).
     """
     x = np.asarray(x, dtype=float)
-    p = _parse_wavelet(wavelet)
-    g = daubechies_scaling(p)
-    h = daubechies_wavelet(p)
-    L = g.size
     n = (x.size // 2**level) * 2**level
-    v = x[:n].copy()
-    details = []
-    for _ in range(level):
-        m = v.size
-        t2 = 2 * np.arange(m // 2) + 1
-        d = np.zeros(m // 2)
-        a = np.zeros(m // 2)
-        for l in range(L):
-            idx = (t2 - l) % m
-            vl = v[idx]
-            d += h[l] * vl
-            a += g[l] * vl
-        details.append(d)
-        v = a
-    return details, v
+    W, v = modwt(x[:n], wavelet, level)
+    details = [2 ** (j / 2) * W[j - 1, 2**j - 1::2**j]
+               for j in range(1, level + 1)]
+    return details, 2 ** (level / 2) * v[2**level - 1::2**level]
 
 
 def robust_wavelet_variance(W: np.ndarray, wavelet: str = "db2",

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.acf import (acf_med_period, classic_acf, detect_peaks,
-                            full_range_periodogram, huber_acf,
-                            resolution_interval)
+                            huber_acf, resolution_interval)
 from repro.core.huber_periodogram import (huber_periodogram,
                                           ordinary_periodogram, zero_pad)
 
@@ -39,23 +38,15 @@ class TestClassicACF:
 
 class TestWienerKhinchin:
     def test_matches_direct_autocovariance(self):
-        # IDFT of the full-range ordinary periodogram of the zero-padded
-        # series = linear autocovariance sums (exact identity).
+        # Wiener–Khinchin on the zero-padded series: huber_acf of the
+        # ordinary periodogram = the unbiased linear autocorrelation.
         rng = np.random.default_rng(2)
         w = rng.normal(0, 1, 64)
         n = w.size
-        xp = zero_pad(w)
-        P = ordinary_periodogram(xp)
-        full = full_range_periodogram(P, 2 * n)
-        p = np.real(np.fft.ifft(full))[:n]
-        direct = np.array([np.dot(w[:n - t], w[t:]) / (2 * n)
-                           for t in range(n)])
-        np.testing.assert_allclose(p, direct, atol=1e-10)
-
-    def test_full_range_mirror_symmetry(self):
-        P = np.arange(9.0)  # one-sided bins 0..8 for N'=16
-        full = full_range_periodogram(P, 16)
-        np.testing.assert_allclose(full[1:8], full[-1:-8:-1])
+        a = huber_acf(ordinary_periodogram(zero_pad(w)), n)
+        direct = np.array([n * np.dot(w[:n - t], w[t:])
+                           / ((n - t) * np.dot(w, w)) for t in range(n)])
+        np.testing.assert_allclose(a, direct, atol=1e-10)
 
     def test_huber_acf_lag0_is_one(self):
         w = _sin(128, 16)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.robust_period import detect, detect_full, merge_periods
 from repro.datasets import synthetic_series
+from repro.sparkrun.detect import ALGOS
 
 
 def _match(found, truth, tol=0.02):
@@ -108,6 +109,14 @@ class TestInvariance:
         y = synthetic_series(periods=(20, 50, 100), seed=1)
         assert detect(1e-9 * y) == detect(1e-3 * y) == detect(y) \
             == [20, 50, 100]
+
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
+    def test_offset_invariance(self, algo):
+        y = synthetic_series(seed=1)
+        fn = ALGOS[algo]
+        expect = fn(y)
+        for c in (1e6, 1e9, 1e12):
+            assert fn(y + c) == expect, c
 
 
 class TestDiagnostics:

@@ -1,4 +1,7 @@
-"""Unit tests for Daubechies filters, MODWT/DWT, and wavelet variance."""
+"""Unit tests for Daubechies filters, MODWT/DWT, and wavelet variance.
+
+The time-domain pyramid algorithms below are the references the
+frequency-domain ``modwt``/``dwt`` are checked against."""
 import numpy as np
 import pytest
 
@@ -8,6 +11,50 @@ from repro.core.wavelets import (daubechies_scaling, daubechies_wavelet,
                                  robust_wavelet_variance)
 
 ORDERS = [1, 2, 3, 4, 5, 6, 8, 10]
+
+
+def _pyramid_modwt(x, wavelet, level):
+    """Circular MODWT by the pyramid algorithm, one loop over filter taps."""
+    p = int(wavelet[2:])
+    g = daubechies_scaling(p) / np.sqrt(2)
+    h = daubechies_wavelet(p) / np.sqrt(2)
+    n = x.size
+    W = np.empty((level, n))
+    v = x.copy()
+    t = np.arange(n)
+    for j in range(1, level + 1):
+        stride = 2 ** (j - 1)
+        wj = np.zeros(n)
+        vj = np.zeros(n)
+        for l in range(g.size):
+            vl = v[(t - stride * l) % n]
+            wj += h[l] * vl
+            vj += g[l] * vl
+        W[j - 1] = wj
+        v = vj
+    return W, v
+
+
+def _pyramid_dwt(x, wavelet, level):
+    """Decimated circular DWT by the pyramid algorithm (input truncated to a
+    multiple of 2^level)."""
+    p = int(wavelet[2:])
+    g, h = daubechies_scaling(p), daubechies_wavelet(p)
+    n = (x.size // 2**level) * 2**level
+    v = x[:n].copy()
+    details = []
+    for _ in range(level):
+        m = v.size
+        t2 = 2 * np.arange(m // 2) + 1
+        d = np.zeros(m // 2)
+        a = np.zeros(m // 2)
+        for l in range(g.size):
+            vl = v[(t2 - l) % m]
+            d += h[l] * vl
+            a += g[l] * vl
+        details.append(d)
+        v = a
+    return details, v
 
 
 class TestDaubechiesFilters:
@@ -74,6 +121,19 @@ class TestDaubechiesFilters:
 
 
 class TestMODWT:
+    # N = 16..19 are shorter than db10 (L = 20), so the filter wraps.
+    @pytest.mark.parametrize("wav", ["db1", "db2", "db4", "db10"])
+    @pytest.mark.parametrize("n", [16, 17, 19, 100, 500, 2001, 7200])
+    @pytest.mark.parametrize("level", [1, 4, 12])
+    def test_matches_pyramid(self, wav, n, level):
+        rng = np.random.default_rng(n + level)
+        x = rng.normal(0, 1, n) + 3 * np.sin(2 * np.pi * np.arange(n) / 24)
+        W, v = modwt(x, wav, level)
+        W_ref, v_ref = _pyramid_modwt(x, wav, level)
+        atol = 1e-12 * np.max(np.abs(x))
+        np.testing.assert_allclose(W, W_ref, rtol=0, atol=atol)
+        np.testing.assert_allclose(v, v_ref, rtol=0, atol=atol)
+
     @pytest.mark.parametrize("wav,level", [("db1", 4), ("db2", 5),
                                            ("db4", 4), ("db10", 3)])
     def test_energy_preservation(self, wav, level):
@@ -124,6 +184,19 @@ class TestMODWT:
 
 
 class TestDWT:
+    # Energy preservation cannot see a subsampling phase error; this can.
+    @pytest.mark.parametrize("wav", ["db2", "db4"])
+    @pytest.mark.parametrize("n,level", [(32, 2), (100, 2), (257, 5),
+                                         (2000, 4), (2001, 8), (7200, 8)])
+    def test_matches_decimated_pyramid(self, wav, n, level):
+        x = np.random.default_rng(n).normal(0, 1, n)
+        details, approx = dwt(x, wav, level)
+        ref_details, ref_approx = _pyramid_dwt(x, wav, level)
+        atol = 1e-12 * np.max(np.abs(x))
+        assert len(details) == level
+        for d, ref in zip(details + [approx], ref_details + [ref_approx]):
+            np.testing.assert_allclose(d, ref, rtol=0, atol=atol)
+
     def test_halving_lengths(self):
         details, approx = dwt(np.random.default_rng(0).normal(0, 1, 256),
                               "db2", 4)
@@ -148,12 +221,12 @@ class TestLevelsAndVariance:
         assert filter_width(8, 20) == 255 * 19 + 1
 
     def test_max_usable_level_caps_by_length(self):
-        assert max_usable_level(1000, "db10", 8) == 7
-        assert max_usable_level(100, "db2", 8) == 4
-        assert max_usable_level(16, "db2", 8) == 2
+        assert max_usable_level(1000, 8) == 7
+        assert max_usable_level(100, 8) == 4
+        assert max_usable_level(16, 8) == 2
 
     def test_max_usable_level_respects_request(self):
-        assert max_usable_level(10_000, "db2", 3) == 3
+        assert max_usable_level(10_000, 3) == 3
 
     def test_white_noise_variance_halves_per_level(self):
         rng = np.random.default_rng(7)
