@@ -18,19 +18,25 @@ from repro.core.fisher import run_maxima
 from repro.core.huber_periodogram import ordinary_periodogram, zero_pad
 from repro.core.preprocess import detrend_normalize
 
+#: Permutation threshold: the ``QUANTILE`` of the largest ordinate over
+#: ``N_PERM`` shuffles drawn from a generator seeded with ``SEED``.
+N_PERM = 32
+QUANTILE = 0.95
+SEED = 0
+#: Shortest period reported.
+MIN_PERIOD = 2
 
-def _permutation_threshold(x: np.ndarray, n_perm: int, seed: int,
-                           quantile: float) -> float:
-    rng = np.random.default_rng(seed)
-    maxima = np.empty(n_perm)
-    for i in range(n_perm):
+
+def _permutation_threshold(x: np.ndarray) -> float:
+    rng = np.random.default_rng(SEED)
+    maxima = np.empty(N_PERM)
+    for i in range(N_PERM):
         P = ordinary_periodogram(zero_pad(rng.permutation(x)))
         maxima[i] = P[1:].max()
-    return float(np.quantile(maxima, quantile))
+    return float(np.quantile(maxima, QUANTILE))
 
 
-def detect(y: np.ndarray, *, n_perm: int = 32, quantile: float = 0.95,
-           seed: int = 0, min_period: int = 2) -> list[int]:
+def detect(y: np.ndarray) -> list[int]:
     """Validated periods (deduped, sorted)."""
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -38,14 +44,14 @@ def detect(y: np.ndarray, *, n_perm: int = 32, quantile: float = 0.95,
         return []
     x = detrend_normalize(y)
     P = ordinary_periodogram(zero_pad(x))
-    thresh = _permutation_threshold(x, n_perm, seed, quantile)
+    thresh = _permutation_threshold(x)
     above = P > thresh
     above[0] = False
     a = classic_acf(x)
     out = []
     for k in run_maxima(P, above):
         cand = 2 * n / k
-        if cand < min_period or cand > n // 2:
+        if cand < MIN_PERIOD or cand > n // 2:
             continue
         ok, refined = acf_hill_valid(a, k, 2 * n)
         if ok:

@@ -12,6 +12,9 @@ import numpy as np
 
 from repro.core.preprocess import detrend_normalize
 
+#: Frequency grid size of the AR spectral density.
+N_FREQ = 500
+
 
 def _autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray:
     n = x.size
@@ -21,36 +24,32 @@ def _autocovariance(x: np.ndarray, max_lag: int) -> np.ndarray:
     return acov
 
 
-def _levinson(acov: np.ndarray, order: int):
-    """Levinson–Durbin: AR(order) coefficients and innovation variance."""
-    a = np.zeros(order + 1)
+def ar_spectrum(x: np.ndarray):
+    """AIC-selected Yule–Walker AR spectral density on ``N_FREQ`` points
+    of (0, 0.5].  Returns (freqs, density).
+
+    One Levinson–Durbin pass: order p extends order p−1, so the AIC of
+    every order up to ``10·log10(N)`` is read off as the recursion runs.
+    """
+    n = x.size
+    max_order = int(min(n - 1, 10 * np.log10(n)))
+    acov = _autocovariance(x, max_order)
+    a = np.zeros(max_order + 1)
     a[0] = 1.0
     e = acov[0]
-    for k in range(1, order + 1):
-        if e <= 0:
-            break
-        lam = -(acov[1:k + 1][::-1] @ a[:k]) / e
-        a[1:k + 1] = a[1:k + 1] + lam * a[:k][::-1]
-        e *= (1.0 - lam**2)
-    return a, max(e, 1e-12)
-
-
-def ar_spectrum(x: np.ndarray, *, max_order: int | None = None,
-                n_freq: int = 500):
-    """AIC-selected Yule–Walker AR spectral density on ``n_freq`` points
-    of (0, 0.5].  Returns (freqs, density)."""
-    n = x.size
-    if max_order is None:
-        max_order = int(min(n - 1, 10 * np.log10(n)))
-    acov = _autocovariance(x, max_order)
     best = (np.inf, None, None)
-    for p in range(0, max_order + 1):
-        a, e = _levinson(acov, p)
-        aic = n * np.log(e) + 2 * (p + 1)
+    for p in range(max_order + 1):
+        if p > 0:
+            if e <= 0:
+                break
+            lam = -(acov[1:p + 1][::-1] @ a[:p]) / e
+            a[1:p + 1] = a[1:p + 1] + lam * a[:p][::-1]
+            e *= (1.0 - lam**2)
+        aic = n * np.log(max(e, 1e-12)) + 2 * (p + 1)
         if aic < best[0]:
-            best = (aic, a[:p + 1], e)
+            best = (aic, a[:p + 1].copy(), max(e, 1e-12))
     _, a, e = best
-    freqs = np.linspace(0.5 / n_freq, 0.5, n_freq)
+    freqs = np.linspace(0.5 / N_FREQ, 0.5, N_FREQ)
     z = np.exp(-2j * np.pi * np.outer(freqs, np.arange(a.size)))
     denom = np.abs(z @ a) ** 2
     dens = e / np.maximum(denom, 1e-12)

@@ -14,9 +14,11 @@ from repro.core.fisher import siegel_candidates
 from repro.core.huber_periodogram import ordinary_periodogram, zero_pad
 from repro.core.preprocess import detrend_normalize
 
+#: Shortest period reported.
+MIN_PERIOD = 2
 
-def detect(y: np.ndarray, *, alpha: float = 0.01, lam: float = 0.6,
-           min_period: int = 2) -> list[int]:
+
+def detect(y: np.ndarray) -> list[int]:
     """Detected periods (may contain spurious entries by design: the
     paper's Table 4 shows Siegel emitting extras like (655, 769, …))."""
     y = np.asarray(y, dtype=float)
@@ -24,10 +26,10 @@ def detect(y: np.ndarray, *, alpha: float = 0.01, lam: float = 0.6,
     if n < 16:
         return []
     P = ordinary_periodogram(zero_pad(detrend_normalize(y)))
-    ks = siegel_candidates(P, alpha=alpha, lam=lam)
+    ks = siegel_candidates(P)
     out = []
     for k in ks:
         p = int(round(2 * n / k))
-        if min_period <= p <= n // 2:
+        if MIN_PERIOD <= p <= n // 2:
             out.append(p)
     return sorted(set(out))

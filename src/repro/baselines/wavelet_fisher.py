@@ -18,10 +18,11 @@ from repro.core.wavelets import dwt
 WAVELET = "db4"
 #: Ceiling on the DWT depth; the depth used is ``log2(N) − 3``.
 MAX_LEVEL = 8
+#: Shortest period reported.
+MIN_PERIOD = 2
 
 
-def detect(y: np.ndarray, *, alpha: float = 0.01,
-           min_period: int = 2) -> list[int]:
+def detect(y: np.ndarray) -> list[int]:
     """Periods from per-level Fisher tests (near-duplicates merged)."""
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -35,10 +36,10 @@ def detect(y: np.ndarray, *, alpha: float = 0.01,
         if d.size < 8:
             continue
         P = ordinary_periodogram(d)
-        sig, k_star, _ = fisher_test(P, alpha=alpha)
+        sig, k_star, _ = fisher_test(P)
         if not sig or k_star < 1:
             continue
         period = int(round(d.size / k_star * 2**j))
-        if min_period <= period <= n // 2:
+        if MIN_PERIOD <= period <= n // 2:
             found.append((period, float(np.var(d))))
     return merge_periods(found)

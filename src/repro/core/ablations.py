@@ -16,11 +16,10 @@ from .acf import acf_hill_valid, classic_acf
 from .fisher import fisher_test, siegel_candidates
 from .huber_periodogram import huber_periodogram, zero_pad
 from .preprocess import preprocess
-from .robust_period import detect as _rp_detect
+from .robust_period import MIN_PERIOD, detect_full
 
 
-def huber_fisher(y: np.ndarray, *, alpha: float = 0.01,
-                 min_period: int = 4) -> list[int]:
+def huber_fisher(y: np.ndarray) -> list[int]:
     """Huber-periodogram + Fisher's test, no wavelet decoupling."""
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -28,15 +27,14 @@ def huber_fisher(y: np.ndarray, *, alpha: float = 0.01,
         return []
     x = preprocess(y)
     P = huber_periodogram(zero_pad(x), n_data=n)
-    sig, k_star, _ = fisher_test(P, alpha=alpha)
+    sig, k_star, _ = fisher_test(P)
     if not sig or k_star < 1:
         return []
     period = int(round(2 * n / k_star))
-    return [period] if min_period <= period <= n // 2 else []
+    return [period] if MIN_PERIOD <= period <= n // 2 else []
 
 
-def huber_siegel_acf(y: np.ndarray, *, alpha: float = 0.01,
-                     min_period: int = 4) -> list[int]:
+def huber_siegel_acf(y: np.ndarray) -> list[int]:
     """Huber-periodogram + Siegel candidates + ACF-hill validation."""
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -44,12 +42,12 @@ def huber_siegel_acf(y: np.ndarray, *, alpha: float = 0.01,
         return []
     x = preprocess(y)
     P = huber_periodogram(zero_pad(x), n_data=n)
-    ks = siegel_candidates(P, alpha=alpha)
+    ks = siegel_candidates(P)
     a = classic_acf(x)
     out = []
     for k in ks:
         cand = int(round(2 * n / k))
-        if cand < min_period or cand > n // 2:
+        if cand < MIN_PERIOD or cand > n // 2:
             continue
         ok, refined = acf_hill_valid(a, k, 2 * n)
         if ok:
@@ -57,6 +55,6 @@ def huber_siegel_acf(y: np.ndarray, *, alpha: float = 0.01,
     return sorted(set(out))
 
 
-def nr_robust_period(y: np.ndarray, **kw) -> list[int]:
+def nr_robust_period(y: np.ndarray) -> list[int]:
     """Non-robust RobustPeriod: same procedure, classical estimators."""
-    return _rp_detect(y, robust=False, **kw)
+    return detect_full(y, robust=False).periods

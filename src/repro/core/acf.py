@@ -20,6 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Peak detection (``detect_peaks``): first lag searched, and the peak
+#: height floor, absolute and as a share of the tallest peak.
+PEAK_MIN_LAG = 2
+PEAK_MIN_HEIGHT = 0.1
+PEAK_HEIGHT_FRAC = 0.5
+
 
 def classic_acf(w: np.ndarray, unbiased: bool = True) -> np.ndarray:
     """Normalized ACF of the paper's §3.4.2 (Box–Jenkins), via FFT.
@@ -49,30 +55,23 @@ def huber_acf(P_half: np.ndarray, n: int) -> np.ndarray:
     return n * p / ((n - t) * p[0])
 
 
-def detect_peaks(a: np.ndarray, *, min_lag: int = 2,
-                 height_frac: float = 0.5,
-                 min_height: float = 0.1) -> np.ndarray:
+def detect_peaks(a: np.ndarray) -> np.ndarray:
     """Simple local-maxima peak detection (Palshikar-style).
 
-    A lag t is a peak if it is a strict local max of the lightly smoothed
-    ACF and its (smoothed) height exceeds
-    ``max(min_height, height_frac · tallest_peak)``.
+    A lag t ≥ ``PEAK_MIN_LAG`` is a peak if it is a strict local max of the
+    lightly smoothed ACF and its (smoothed) height exceeds
+    ``max(PEAK_MIN_HEIGHT, PEAK_HEIGHT_FRAC · tallest_peak)``.
     """
     a = np.asarray(a, dtype=float)
-    n = a.size
-    if n < min_lag + 3:
-        return np.array([], dtype=int)
     s = a.copy()
     s[1:-1] = (a[:-2] + a[1:-1] + a[2:]) / 3.0
     # Cap the search below N−2 so the unbiased-ACF edge blow-up is ignored.
-    hi = int(n * 0.9)
-    cand = [t for t in range(min_lag, hi - 1)
-            if s[t] >= s[t - 1] and s[t] > s[t + 1]]
-    if not cand:
-        return np.array([], dtype=int)
-    tallest = max(s[t] for t in cand)
-    thr = max(min_height, height_frac * tallest)
-    return np.array([t for t in cand if s[t] >= thr], dtype=int)
+    t = np.arange(PEAK_MIN_LAG, int(a.size * 0.9) - 1)
+    cand = t[(s[t] >= s[t - 1]) & (s[t] > s[t + 1])]
+    if cand.size == 0:
+        return cand
+    thr = max(PEAK_MIN_HEIGHT, PEAK_HEIGHT_FRAC * s[cand].max())
+    return cand[s[cand] >= thr]
 
 
 def resolution_interval(k: int, n_prime: int) -> tuple[float, float]:

@@ -23,6 +23,11 @@ from math import exp, lgamma, log, log1p
 
 import numpy as np
 
+#: Significance level α of Fisher's and Siegel's tests.
+ALPHA = 0.01
+#: Siegel's λ: every ordinate above λ·g_crit(α) is a candidate.
+SIEGEL_LAMBDA = 0.6
+
 
 def fisher_g_statistic(P: np.ndarray) -> tuple[float, int]:
     """(g, argmax index) over the provided ordinate array.
@@ -74,20 +79,19 @@ def fisher_g_critical(alpha: float, m: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def fisher_test(P: np.ndarray, *, alpha: float = 0.01
-                ) -> tuple[bool, int, float]:
+def fisher_test(P: np.ndarray) -> tuple[bool, int, float]:
     """Run Fisher's test on a one-sided periodogram ``P`` (index 0 = DC).
 
     The DC ordinate is excluded from the test.  Returns ``(significant,
     k_star, pvalue)`` with ``k_star`` an index into ``P`` (absolute, i.e.
-    DC included in the indexing).
+    DC included in the indexing); significant means ``pvalue < ALPHA``.
     """
     body = P[1:]
     if body.size < 2:
         return False, 0, 1.0
     g, k_rel = fisher_g_statistic(body)
     p = fisher_pvalue(g, body.size)
-    return p < alpha, k_rel + 1, p
+    return p < ALPHA, k_rel + 1, p
 
 
 def run_maxima(P: np.ndarray, above: np.ndarray) -> list[int]:
@@ -98,8 +102,7 @@ def run_maxima(P: np.ndarray, above: np.ndarray) -> list[int]:
             for i, j in zip(edges[::2], edges[1::2])]
 
 
-def siegel_candidates(P: np.ndarray, *, alpha: float = 0.01,
-                      lam: float = 0.6) -> list[int]:
+def siegel_candidates(P: np.ndarray) -> list[int]:
     """Siegel's compound-periodicity detection.
 
     Returns the absolute indices of per-peak local maxima among non-DC
@@ -112,5 +115,5 @@ def siegel_candidates(P: np.ndarray, *, alpha: float = 0.01,
     s = body.sum()
     if s <= 0:
         return []
-    above = body / s > lam * fisher_g_critical(alpha, m)
+    above = body / s > SIEGEL_LAMBDA * fisher_g_critical(ALPHA, m)
     return [k + 1 for k in run_maxima(body, above)]

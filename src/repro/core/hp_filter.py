@@ -9,7 +9,7 @@ N≈7200 cloud series of Table 4.
 λ is not specified in the paper; we derive it from the HP frequency
 response: for this objective the smoother's gain is
 ``1/(1 + 8λ(1−cos ω)²)``, so the half-power cutoff period ``p_c`` gives
-``λ = 1/(32 sin⁴(π/p_c))``.  The pipeline defaults to ``p_c = N/2`` —
+``λ = 1/(32 sin⁴(π/p_c))``.  The pipeline uses ``p_c = N/2`` —
 anything slower than half the series is trend, which preserves every
 detectable period (≤ N/2 by definition).
 """
@@ -97,16 +97,13 @@ def _hp_factor(n: int, lamb: float
     return factor
 
 
-def hp_filter(y: np.ndarray, lamb: float | None = None) -> np.ndarray:
-    """Return the HP trend estimate τ̂ of Eq. 2.
-
-    ``lamb=None`` selects λ from the ``p_c = N/2`` cutoff rule.  The
-    detrended series is ``y − hp_filter(y)``.
+def hp_filter(y: np.ndarray) -> np.ndarray:
+    """Return the HP trend estimate τ̂ of Eq. 2, with λ from the
+    ``p_c = N/2`` cutoff rule.  The detrended series is
+    ``y − hp_filter(y)``.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
     if n < 4:
         return np.full(n, float(np.mean(y))) if n else y.copy()
-    if lamb is None:
-        lamb = hp_lambda_for_cutoff(n / 2.0)
-    return _ldl_solve(_hp_factor(n, float(lamb)), y)
+    return _ldl_solve(_hp_factor(n, float(hp_lambda_for_cutoff(n / 2.0))), y)

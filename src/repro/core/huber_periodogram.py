@@ -1,5 +1,4 @@
-"""Periodograms: ordinary (Eq. 5), Huber M-periodogram (Eq. 6-7), and the
-LAD-periodogram used for the paper's Fig. 6 comparison.
+"""Periodograms: ordinary (Eq. 5) and the Huber M-periodogram (Eq. 6-7).
 
 The M-periodogram at frequency index k is
 
@@ -20,12 +19,9 @@ we normalize by the MAD-based scale and use the standard ζ = 1.345.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
-from functools import partial
-
 import numpy as np
 
-from .robust_stats import huber_weights, lad_weights, robust_scale
+from .robust_stats import huber_weights, robust_scale
 
 HUBER_ZETA = 1.345
 IRLS_MAX_ITER = 20
@@ -46,12 +42,10 @@ def ordinary_periodogram(x: np.ndarray) -> np.ndarray:
     return (X.real**2 + X.imag**2) / x.size
 
 
-def _irls_chunk(x: np.ndarray, ks: np.ndarray, n: int,
-                weights: Callable[..., np.ndarray]) -> np.ndarray:
-    """Solve the M-periodogram of a length-``n`` series for a chunk of
-    frequency indices.  Returns ||β̂(k)||² per k.  ``weights(r, out=)`` is
-    the loss's IRLS weight function.  Each bin stops at its own ``IRLS_TOL``,
-    so its result does not depend on which bins share its chunk.
+def _irls_chunk(x: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:
+    """Solve the Huber M-periodogram of a length-``n`` series for a chunk of
+    frequency indices.  Returns ||β̂(k)||² per k.  Each bin stops at its own
+    ``IRLS_TOL``, so its result does not depend on which bins share its chunk.
 
     ``x`` is the series, or the data half of ``[x, 0]`` (``zero_pad``) when
     ``x.size < n``.  Fold: at ``t + n/2`` bin k's angle is ``θ_t + πk``, so
@@ -70,8 +64,8 @@ def _irls_chunk(x: np.ndarray, ks: np.ndarray, n: int,
     for _ in range(IRLS_MAX_ITER):
         np.multiply(a[:, None], C, out=r)
         r += np.multiply(b[:, None], S, out=w)
-        wpad = weights(r, out=pad) if x.size < n else 0.0
-        weights(np.subtract(r, x, out=r), out=w)
+        wpad = huber_weights(r, HUBER_ZETA, out=pad) if x.size < n else 0.0
+        huber_weights(np.subtract(r, x, out=r), HUBER_ZETA, out=w)
         Scx, Ssx = np.einsum("kt,kt->k", w, Cx), np.einsum("kt,kt->k", w, Sx)
         w += wpad
         Scc, Scs = np.einsum("kt,kt->k", w, CC), np.einsum("kt,kt->k", w, CS)
@@ -88,10 +82,10 @@ def _irls_chunk(x: np.ndarray, ks: np.ndarray, n: int,
     return a**2 + b**2
 
 
-def m_periodogram(x: np.ndarray, *, loss: str = "huber",
-                  exact_band: tuple[int, int] | None = None,
-                  n_data: int | None = None) -> np.ndarray:
-    """M-periodogram of Eq. 6 for k = 0..⌊N/2⌋.
+def huber_periodogram(x: np.ndarray, *,
+                      exact_band: tuple[int, int] | None = None,
+                      n_data: int | None = None) -> np.ndarray:
+    """Huber M-periodogram of Eq. 6 for k = 0..⌊N/2⌋.
 
     ``exact_band=(lo, hi)`` restricts the (expensive) robust solve to the
     frequency indices ``lo ≤ k ≤ hi`` — the per-level speed-up of §3.4.1
@@ -120,20 +114,9 @@ def m_periodogram(x: np.ndarray, *, loss: str = "huber",
     if n % 2 == 0 and not xn[nyq:].any():
         xn = xn[:nyq]                   # [x, 0]: fold the pad (_irls_chunk)
     rows = int(np.clip(CHUNK_ELEMS // xn.size, *CHUNK_ROWS))
-    weights = (partial(huber_weights, zeta=HUBER_ZETA) if loss == "huber"
-               else lad_weights)
     ks = np.arange(lo, hi + 1)
-    beta2 = np.concatenate([_irls_chunk(xn, ks[s:s + rows], n, weights)
+    beta2 = np.concatenate([_irls_chunk(xn, ks[s:s + rows], n)
                             for s in range(0, ks.size, rows)])
     P[ks] = (n / 4.0) * beta2 * sig**2
     return P
 
-
-def huber_periodogram(x: np.ndarray, **kw) -> np.ndarray:
-    """Huber-loss M-periodogram (the paper's default)."""
-    return m_periodogram(x, loss="huber", **kw)
-
-
-def lad_periodogram(x: np.ndarray, **kw) -> np.ndarray:
-    """LAD-loss M-periodogram (Li 2008), for the Fig. 6 comparison."""
-    return m_periodogram(x, loss="lad", **kw)

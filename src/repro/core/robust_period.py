@@ -29,6 +29,13 @@ WAVELET = "db10"
 #: N=1000; a daily period at minute resolution (T=1440, the cloud datasets
 #: of Table 4) needs level 10, hence 12.
 MAX_LEVEL = 12
+#: A level is searched only if it holds this share of the total wavelet
+#: variance (§3.3).
+ENERGY_FRAC = 0.05
+#: Shortest period reported.
+MIN_PERIOD = 4
+#: Periods from different levels within this relative gap are one period.
+MERGE_REL_TOL = 0.1
 
 
 @dataclass
@@ -49,20 +56,19 @@ class RobustPeriodResult:
     levels: list[LevelResult] = field(default_factory=list)
 
 
-def merge_periods(cands: list[tuple[int, float]],
-                  rel_tol: float = 0.1) -> list[int]:
+def merge_periods(cands: list[tuple[int, float]]) -> list[int]:
     """Collapse near-duplicate periods detected at adjacent levels.
 
     ``cands`` is (period, weight) — the weight is the level's wavelet
-    variance; within a cluster (relative gap ≤ rel_tol) the highest-weight
-    period wins.  Returns sorted unique periods.
+    variance; within a cluster (relative gap ≤ ``MERGE_REL_TOL``) the
+    highest-weight period wins.  Returns sorted unique periods.
     """
     if not cands:
         return []
     cands = sorted(cands)
     out: list[tuple[int, float]] = []
     for p, w in cands:
-        if out and abs(p - out[-1][0]) <= rel_tol * max(p, out[-1][0]):
+        if out and abs(p - out[-1][0]) <= MERGE_REL_TOL * max(p, out[-1][0]):
             if w > out[-1][1]:
                 out[-1] = (p, w)
         else:
@@ -73,9 +79,7 @@ def merge_periods(cands: list[tuple[int, float]],
 def detect_full(
     y: np.ndarray,
     *,
-    energy_frac: float = 0.05,
-    alpha: float = 0.01,
-    min_period: int = 4,
+    min_period: int = MIN_PERIOD,
     robust: bool = True,
 ) -> RobustPeriodResult:
     """Run RobustPeriod with diagnostics.
@@ -101,7 +105,7 @@ def detect_full(
     found: list[tuple[int, float]] = []
     for j in order:
         lev = res.levels[j]
-        if total > 0 and nu2[j] < energy_frac * total:
+        if total > 0 and nu2[j] < ENERGY_FRAC * total:
             continue
         lev.selected = True
         w = W[j]
@@ -112,7 +116,7 @@ def detect_full(
             P = huber_periodogram(xp, exact_band=(band_lo, band_hi), n_data=n)
         else:
             P = ordinary_periodogram(xp)
-        sig, k_star, p = fisher_test(P, alpha=alpha)
+        sig, k_star, p = fisher_test(P)
         lev.pvalue = p
         if not sig or k_star < 1:
             continue
@@ -130,6 +134,6 @@ def detect_full(
     return res
 
 
-def detect(y: np.ndarray, **kw) -> list[int]:
+def detect(y: np.ndarray) -> list[int]:
     """Detected periods of the input series (sorted ascending)."""
-    return detect_full(y, **kw).periods
+    return detect_full(y).periods

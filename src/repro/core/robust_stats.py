@@ -4,8 +4,7 @@ The paper relies on three robust primitives:
 
 * median / MAD for normalization and outlier clipping (§3.2);
 * the biweight midvariance for the robust unbiased wavelet variance (Eq. 4);
-* Huber's ψ weights for the Huber-periodogram IRLS solver (Eq. 6-7),
-  and the LAD weights of its Fig. 6 comparison.
+* Huber's ψ weights for the Huber-periodogram IRLS solver (Eq. 6-7).
 
 Everything is pure numpy; no scipy is available in this container.
 """
@@ -15,6 +14,8 @@ import numpy as np
 
 #: Consistency factor making MAD an unbiased σ estimate under Gaussianity.
 MAD_TO_SIGMA = 1.4826
+#: Biweight tuning constant c (Wilcox 2017): weight 0 beyond c MADs.
+BIWEIGHT_C = 9.0
 
 
 def median(x: np.ndarray) -> float:
@@ -43,12 +44,12 @@ def robust_scale(x: np.ndarray) -> float:
     return s
 
 
-def biweight_midvariance(x: np.ndarray, *, c: float = 9.0) -> float:
+def biweight_midvariance(x: np.ndarray) -> float:
     """Tukey's biweight midvariance (Wilcox 2017), the robust variance used
     for the wavelet variance of Eq. 4.
 
-    ``u_t = (x_t − Med(x)) / (c · MAD(x))``;  observations with ``|u| ≥ 1``
-    get zero weight.  Matches Eq. 4 with ``n = len(x)``:
+    ``u_t = (x_t − Med(x)) / (c · MAD(x))`` with c = ``BIWEIGHT_C``;
+    observations with ``|u| ≥ 1`` get zero weight.  Matches Eq. 4 with ``n = len(x)``:
 
         n · Σ (x−M)²(1−u²)⁴ I(|u|<1)  /  [ Σ (1−u²)(1−5u²) I(|u|<1) ]²
     """
@@ -63,7 +64,7 @@ def biweight_midvariance(x: np.ndarray, *, c: float = 9.0) -> float:
         # Degenerate scale: fall back to the classical variance, which is 0
         # for a constant array and still sensible otherwise.
         return float(np.var(d))
-    u = d / (c * s)
+    u = d / (BIWEIGHT_C * s)
     mask = np.abs(u) < 1.0
     if not mask.any():
         return 0.0
@@ -88,13 +89,6 @@ def huber_weights(r: np.ndarray, zeta: float,
     with np.errstate(divide="ignore"):
         np.divide(zeta, a, out=a)
     return np.fmin(a, 1.0, out=a)
-
-
-def lad_weights(r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """IRLS weights for the LAD loss, ``1/max(|r|, 1e-8)`` (the guard keeps
-    a zero residual finite); ``out`` as in :func:`huber_weights`."""
-    a = np.maximum(np.abs(r, out=out), 1e-8, out=out)
-    return np.divide(1.0, a, out=a)
 
 
 def psi_clip(x: np.ndarray, c: float) -> np.ndarray:

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Fourier pairs per period (K).
+N_HARMONICS = 3
 
-def _design(t: np.ndarray, periods: list[int], n_harmonics: int,
-            train_len: int) -> np.ndarray:
+
+def _design(t: np.ndarray, periods: list[int], train_len: int) -> np.ndarray:
     cols = [np.ones_like(t, dtype=float), t / max(train_len, 1)]
     for T in periods:
-        kmax = min(n_harmonics, max(1, T // 2))
+        kmax = min(N_HARMONICS, max(1, T // 2))
         for m in range(1, kmax + 1):
             ang = 2.0 * np.pi * m * t / T
             cols.append(np.cos(ang))
@@ -32,8 +34,7 @@ def clean_periods(periods, train_len: int) -> list[int]:
     return out
 
 
-def fit_predict(y_train: np.ndarray, periods, horizon: int,
-                n_harmonics: int = 3) -> np.ndarray:
+def fit_predict(y_train: np.ndarray, periods, horizon: int) -> np.ndarray:
     """Least-squares harmonic fit on the training window, extrapolated
     ``horizon`` steps ahead.  An empty/unusable period set degrades to a
     trend-only forecast (as TBATS without seasonality would)."""
@@ -41,7 +42,7 @@ def fit_predict(y_train: np.ndarray, periods, horizon: int,
     n = y_train.size
     ps = clean_periods(periods, n)
     t_all = np.arange(n + horizon)
-    X = _design(t_all, ps, n_harmonics, n)
+    X = _design(t_all, ps, n)
     beta, *_ = np.linalg.lstsq(X[:n], y_train, rcond=None)
     return X[n:] @ beta
 

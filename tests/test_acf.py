@@ -3,6 +3,7 @@ detection and Huber-ACF-Med validation."""
 import numpy as np
 import pytest
 
+from repro.core import acf
 from repro.core.acf import (acf_med_period, classic_acf, detect_peaks,
                             huber_acf, resolution_interval)
 from repro.core.huber_periodogram import (huber_periodogram,
@@ -11,6 +12,19 @@ from repro.core.huber_periodogram import (huber_periodogram,
 
 def _sin(n, T, amp=1.0):
     return amp * np.sin(2 * np.pi * np.arange(n) / T)
+
+
+def _reference_peaks(a):
+    """``detect_peaks`` as a per-lag loop."""
+    s = a.copy()
+    s[1:-1] = (a[:-2] + a[1:-1] + a[2:]) / 3.0
+    cand = [t for t in range(acf.PEAK_MIN_LAG, int(a.size * 0.9) - 1)
+            if s[t] >= s[t - 1] and s[t] > s[t + 1]]
+    if not cand:
+        return np.array([], dtype=int)
+    thr = max(acf.PEAK_MIN_HEIGHT,
+              acf.PEAK_HEIGHT_FRAC * max(s[t] for t in cand))
+    return np.array([t for t in cand if s[t] >= thr], dtype=int)
 
 
 class TestClassicACF:
@@ -94,12 +108,24 @@ class TestPeakDetection:
         a = np.zeros(100)
         a[20] = 1.0
         a[60] = 0.05  # below min_height
-        peaks = detect_peaks(a, min_height=0.1)
+        peaks = detect_peaks(a)
         # (smoothing may shift an isolated spike by one lag)
         assert 60 not in peaks and any(p in (19, 20, 21) for p in peaks)
 
     def test_flat_signal_no_peaks(self):
         assert detect_peaks(np.ones(100)).size == 0
+
+    @pytest.mark.parametrize("n", [0, 3, 5, 6, 64, 1000])
+    def test_matches_loop_reference(self, n):
+        rng = np.random.default_rng(n)
+        decay = np.exp(-np.arange(n) / 300)
+        # Integer steps make ties between neighbours (the ``≥`` side).
+        for a in (_sin(n, 7) * decay + rng.normal(0, 0.1, n),
+                  rng.integers(0, 3, n).astype(float), np.zeros(n)):
+            peaks = detect_peaks(a)
+            ref = _reference_peaks(a)
+            assert peaks.dtype == ref.dtype
+            np.testing.assert_array_equal(peaks, ref)
 
 
 class TestResolutionInterval:

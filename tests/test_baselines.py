@@ -10,7 +10,7 @@ import pytest
 
 from repro.baselines import (autoperiod, find_frequency, sazed, siegel,
                              wavelet_fisher)
-from repro.baselines.find_frequency import ar_spectrum
+from repro.baselines.find_frequency import N_FREQ, ar_spectrum
 from repro.datasets import synthetic_series
 
 
@@ -20,6 +20,29 @@ def _sin(n, T, amp=1.0):
 
 def _near(found, T, tol=0.05):
     return any(abs(f - T) <= max(1, tol * T) for f in found)
+
+
+def _reference_ar_order(x):
+    """AIC-best (coefficients, variance) with the Levinson–Durbin recursion
+    re-run from order 0 for every candidate order."""
+    n = x.size
+    max_order = int(min(n - 1, 10 * np.log10(n)))
+    acov = find_frequency._autocovariance(x, max_order)
+    best = (np.inf, None, None)
+    for p in range(max_order + 1):
+        a = np.zeros(p + 1)
+        a[0] = 1.0
+        e = acov[0]
+        for k in range(1, p + 1):
+            if e <= 0:
+                break
+            lam = -(acov[1:k + 1][::-1] @ a[:k]) / e
+            a[1:k + 1] = a[1:k + 1] + lam * a[:k][::-1]
+            e *= (1.0 - lam**2)
+        aic = n * np.log(max(e, 1e-12)) + 2 * (p + 1)
+        if aic < best[0]:
+            best = (aic, a, max(e, 1e-12))
+    return best[1:]
 
 
 class TestFindFrequency:
@@ -53,9 +76,21 @@ class TestFindFrequency:
         assert find_frequency.detect(_sin(600, 30)) == [30]
 
     def test_ar_spectrum_shapes(self):
-        f, d = ar_spectrum(_sin(256, 16), n_freq=100)
-        assert f.shape == (100,) and d.shape == (100,)
+        f, d = ar_spectrum(_sin(256, 16))
+        assert f.shape == (N_FREQ,) and d.shape == (N_FREQ,)
         assert np.all(d >= 0)
+
+    @pytest.mark.parametrize("n", [8, 40, 600])
+    def test_ar_spectrum_matches_per_order_reference(self, n):
+        rng = np.random.default_rng(n)
+        for y in (_sin(n, 5) + rng.normal(0, 0.5, n), rng.normal(0, 1, n),
+                  np.cumsum(rng.normal(0, 1, n))):
+            x = find_frequency.detrend_normalize(y)
+            a, e = _reference_ar_order(x)
+            f, d = ar_spectrum(x)
+            z = np.exp(-2j * np.pi * np.outer(f, np.arange(a.size)))
+            np.testing.assert_array_equal(
+                d, e / np.maximum(np.abs(z @ a) ** 2, 1e-12))
 
     def test_ar_spectrum_peak_location(self):
         f, d = ar_spectrum(_sin(512, 32))
@@ -130,7 +165,7 @@ class TestAutoperiod:
 
     def test_deterministic_given_seed(self):
         y = synthetic_series(periods=(50,), seed=5)
-        assert autoperiod.detect(y, seed=1) == autoperiod.detect(y, seed=1)
+        assert autoperiod.detect(y) == autoperiod.detect(y)
 
     def test_misses_interlaced_middle_period(self):
         # §4.3.2: "AUTOPERIOD cannot detect the period of 50 as the

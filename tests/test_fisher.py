@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.core import fisher
 from repro.core.fisher import (fisher_g_critical, fisher_g_statistic,
                                fisher_pvalue, fisher_test, siegel_candidates)
 from repro.core.huber_periodogram import ordinary_periodogram
@@ -85,13 +86,13 @@ class TestFisherTest:
     def test_detects_sinusoid(self):
         x = np.sin(2 * np.pi * np.arange(256) / 16)
         P = ordinary_periodogram(x)
-        sig, k, p = fisher_test(P, alpha=0.01)
+        sig, k, p = fisher_test(P)
         assert sig and k == 16 and p < 1e-10
 
     def test_white_noise_mostly_insignificant(self):
         rng = np.random.default_rng(1)
-        hits = sum(fisher_test(ordinary_periodogram(rng.normal(0, 1, 256)),
-                               alpha=0.01)[0] for _ in range(100))
+        hits = sum(fisher_test(ordinary_periodogram(rng.normal(0, 1, 256)))[0]
+                   for _ in range(100))
         assert hits <= 5
 
     def test_short_input(self):
@@ -103,7 +104,7 @@ class TestSiegel:
         t = np.arange(512)
         x = np.sin(2 * np.pi * t / 16) + np.sin(2 * np.pi * t / 64)
         P = ordinary_periodogram(x)
-        ks = siegel_candidates(P, alpha=0.01)
+        ks = siegel_candidates(P)
         assert 32 in ks and 8 in ks
 
     def test_white_noise_rarely_fires(self):
@@ -115,10 +116,11 @@ class TestSiegel:
             ordinary_periodogram(rng.normal(0, 1, 256)))) for _ in range(50))
         assert n_extra <= 25
 
-    def test_contiguous_cluster_collapses(self):
+    def test_contiguous_cluster_collapses(self, monkeypatch):
+        monkeypatch.setattr(fisher, "ALPHA", 0.05)
         P = np.zeros(100)
         P[30:33] = [5.0, 9.0, 5.0]  # one spectral peak spread over 3 bins
-        ks = siegel_candidates(P, alpha=0.05)
+        ks = siegel_candidates(P)
         assert ks == [31]
 
     def test_zero_spectrum(self):

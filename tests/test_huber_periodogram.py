@@ -1,11 +1,10 @@
-"""Unit tests for ordinary/Huber/LAD periodograms."""
+"""Unit tests for the ordinary and Huber periodograms."""
 import numpy as np
 import pytest
 
 from repro.core import huber_periodogram as hp
-from repro.core.huber_periodogram import (huber_periodogram, lad_periodogram,
-                                          m_periodogram, ordinary_periodogram,
-                                          zero_pad)
+from repro.core.huber_periodogram import (huber_periodogram,
+                                          ordinary_periodogram, zero_pad)
 from repro.core.robust_stats import huber_weights, robust_scale
 
 
@@ -13,7 +12,7 @@ def _sin(n, T, amp=1.0, phase=0.3):
     return amp * np.sin(2 * np.pi * np.arange(n) / T + phase)
 
 
-def _reference_m_periodogram(x, loss, exact_band, n_data):
+def _reference_huber_periodogram(x, exact_band, n_data):
     """The straightforward solve: K×N' cos/sin, 256-bin chunks, each chunk
     iterated until its largest step is below ``IRLS_TOL``."""
     n, nyq = x.size, x.size // 2
@@ -29,8 +28,7 @@ def _reference_m_periodogram(x, loss, exact_band, n_data):
         a, b = 2.0 / n * (C @ xn), 2.0 / n * (S @ xn)
         for _ in range(hp.IRLS_MAX_ITER):
             r = a[:, None] * C + b[:, None] * S - xn
-            w = (huber_weights(r, hp.HUBER_ZETA) if loss == "huber"
-                 else 1.0 / np.maximum(np.abs(r), 1e-8))
+            w = huber_weights(r, hp.HUBER_ZETA)
             Scc, Scs, Sss = ((w * C * C).sum(1), (w * C * S).sum(1),
                              (w * S * S).sum(1))
             Scx, Ssx = (w * C) @ xn, (w * S) @ xn
@@ -123,12 +121,11 @@ class TestMPeriodogramEquivalences:
         # Each bin converges on its own, so chunking cannot move a bit.
         w = _sin(300, 30) + np.random.default_rng(4).normal(0, 0.3, 300)
         for x, n_data in ((w, None), (zero_pad(w), 300)):
-            for loss in ("huber", "lad"):
-                P = []
-                for rows in (8, 512):
-                    monkeypatch.setattr(hp, "CHUNK_ROWS", (rows, rows))
-                    P.append(m_periodogram(x, loss=loss, n_data=n_data))
-                np.testing.assert_array_equal(*P)
+            P = []
+            for rows in (8, 512):
+                monkeypatch.setattr(hp, "CHUNK_ROWS", (rows, rows))
+                P.append(huber_periodogram(x, n_data=n_data))
+            np.testing.assert_array_equal(*P)
 
     def test_n_data_prefix_scale(self):
         # Padded series: scale must come from the unpadded prefix, so the
@@ -142,23 +139,17 @@ class TestMPeriodogramEquivalences:
         P = huber_periodogram(np.zeros(64))
         np.testing.assert_allclose(P, 0.0)
 
-    def test_lad_differs_from_huber_under_outliers(self):
-        x = _sin(256, 16)
-        x[10] += 50
-        Pl = lad_periodogram(x)
-        Ph = huber_periodogram(x)
-        assert not np.allclose(Pl, Ph)
-
     def test_invalid_band_returns_ordinary(self):
         x = _sin(128, 8)
-        P = m_periodogram(x, exact_band=(60, 10))
+        P = huber_periodogram(x, exact_band=(60, 10))
         np.testing.assert_allclose(P, ordinary_periodogram(x))
 
 
 class TestMatchesReference:
     """The folded, per-bin-converged solve against the K×N' reference."""
 
-    @pytest.mark.parametrize("loss", ["huber", "lad"])
+    # ``loss`` only names the loss in the test IDs.
+    @pytest.mark.parametrize("loss", ["huber"])
     @pytest.mark.parametrize("padded", [False, True])
     @pytest.mark.parametrize("n", [256, 301])
     @pytest.mark.parametrize("band", ["all", "low", "nyquist"])
@@ -176,13 +167,8 @@ class TestMatchesReference:
         nyq = x.size // 2
         exact_band = {"all": None, "low": (1, 40),
                       "nyquist": (nyq - 40, nyq)}[band]
-        P = m_periodogram(x, loss=loss, exact_band=exact_band, n_data=n_data)
-        ref = _reference_m_periodogram(x, loss, exact_band, n_data)
-        # Per-bin stopping moves a Huber ordinate by < 1e-5.  LAD's 1/|r|
-        # weights amplify rounding and its IRLS takes sub-tolerance steps
-        # far from the 20-step iterate, so LAD ordinates agree to 1e-2.  A
-        # padded LAD fit collapses to β ≈ 0; such ordinates compare on an
-        # absolute scale set by the series energy.
-        rtol = 1e-5 if loss == "huber" else 1e-2
-        np.testing.assert_allclose(P, ref, rtol=rtol,
+        P = huber_periodogram(x, exact_band=exact_band, n_data=n_data)
+        ref = _reference_huber_periodogram(x, exact_band, n_data)
+        # Per-bin stopping moves an ordinate by < 1e-5.
+        np.testing.assert_allclose(P, ref, rtol=1e-5,
                                    atol=1e-12 * np.sum(x**2))

@@ -3,12 +3,16 @@
 Imports run one way, ``core ← baselines ← sparkrun ← experiments``, and
 all live at module level, so a module's dependencies are visible at its
 top.  The ablations are experiments on the core, not a part of it: no
-core or baseline module may import them.
+core or baseline module may import them.  Every registered algorithm
+takes the series and nothing else: the paper fixes its settings.
 """
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from repro.sparkrun.detect import ALGOS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted((SRC / "repro").rglob("*.py"))
@@ -53,3 +57,8 @@ def test_no_function_level_imports(path):
 def test_core_and_baselines_import_downward_only(path):
     bad = [n for n in _imported(path) if n.startswith(FORBIDDEN)]
     assert bad == []
+
+
+@pytest.mark.parametrize("algo", sorted(ALGOS))
+def test_algo_signature_is_y_only(algo):
+    assert list(inspect.signature(ALGOS[algo]).parameters) == ["y"]

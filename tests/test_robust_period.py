@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from repro.core import fisher
+from repro.core import robust_period as rp
 from repro.core.robust_period import detect, detect_full, merge_periods
-from repro.datasets import synthetic_series
+from repro.datasets import cran_like, synthetic_series
 from repro.sparkrun.detect import ALGOS
 
 
@@ -111,6 +113,37 @@ class TestInvariance:
             == [20, 50, 100]
 
     @pytest.mark.parametrize("algo", sorted(ALGOS))
+    def test_scale_and_sign_invariance(self, algo):
+        fn = ALGOS[algo]
+        cran, _ = cran_like(n_series=3)
+        ys = [synthetic_series(seed=2),
+              synthetic_series(kind="square", periods=(20, 50), n=500,
+                               seed=3)]
+        ys += [g.sort_values("t")["y"].to_numpy()
+               for _, g in cran.groupby("series_id")]
+        for y in ys:
+            expect = fn(y)
+            for c in (1e-9, 1e6, -1.0):
+                assert fn(c * y) == expect, c
+
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
+    def test_degenerate_inputs(self, algo):
+        fn = ALGOS[algo]
+        spike = synthetic_series(n=300, seed=4)
+        for case, y in {
+            "empty": np.array([]), "one": np.array([1.0]),
+            "fifteen": np.sin(np.arange(15.0)), "constant": np.full(300, 7.0),
+            "all_nan": np.full(300, np.nan),
+            "inf": np.where(np.arange(300) == 100, np.inf, spike),
+            "-inf": np.where(np.arange(300) == 100, -np.inf, spike),
+        }.items():
+            out = fn(y)
+            assert isinstance(out, list), case
+            assert all(type(p) is int for p in out), case
+            if case in ("empty", "constant", "all_nan"):
+                assert out == [], case
+
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
     def test_offset_invariance(self, algo):
         y = synthetic_series(seed=1)
         fn = ALGOS[algo]
@@ -142,11 +175,13 @@ class TestDiagnostics:
             if not lv.selected:
                 assert lv.period == 0
 
-    def test_energy_frac_one_selects_nothing(self):
+    def test_energy_frac_one_selects_nothing(self, monkeypatch):
+        monkeypatch.setattr(rp, "ENERGY_FRAC", 1.1)
         y = synthetic_series(seed=11)
-        res = detect_full(y, energy_frac=1.1)
+        res = detect_full(y)
         assert res.periods == []
 
-    def test_alpha_zero_detects_nothing(self):
+    def test_alpha_zero_detects_nothing(self, monkeypatch):
+        monkeypatch.setattr(fisher, "ALPHA", 0.0)
         y = synthetic_series(seed=12)
-        assert detect(y, alpha=0.0) == []
+        assert detect(y) == []

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.robust_stats import (MAD_TO_SIGMA, biweight_midvariance,
-                                     huber_weights, lad_weights, mad, median,
-                                     psi_clip, robust_scale)
+                                     huber_weights, mad, median, psi_clip,
+                                     robust_scale)
 
 
 class TestMedianMad:
@@ -112,12 +112,6 @@ class TestHuberWeights:
         w = huber_weights(r, 1.345, out=r)
         assert w is r
         np.testing.assert_array_equal(w, [1.0, 0.0, 0.0, 1.0, 1.0, 0.5])
-
-
-class TestLadWeights:
-    def test_inverse_abs_with_guard(self):
-        w = lad_weights(np.array([-4.0, 0.5, 0.0]))
-        np.testing.assert_array_equal(w, [0.25, 2.0, 1e8])
 
 
 class TestPsiClip:
