@@ -53,7 +53,7 @@ def detect(y: np.ndarray) -> list[int]:
         cand = 2 * n / k
         if cand < MIN_PERIOD or cand > n // 2:
             continue
-        ok, refined = acf_hill_valid(a, k, 2 * n)
+        ok, refined = acf_hill_valid(a, k)
         if ok:
             out.append(refined)
     return sorted(set(out))

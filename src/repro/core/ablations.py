@@ -1,7 +1,7 @@
 """Ablation variants of RobustPeriod (paper §4.3.1, Table 5).
 
 * **Huber-Fisher** — no MODWT decoupling: Huber-periodogram on the whole
-  (preprocessed, zero-padded) series + Fisher's test → at most one period.
+  (preprocessed) series + Fisher's test → at most one period.
 * **Huber-Siegel-ACF** — Huber-periodogram + Siegel's multi-peak test for
   candidates, validated by the AUTOPERIOD-style ACF hill check.
 * **NR-RobustPeriod** — the full RobustPeriod procedure with every robust
@@ -14,7 +14,7 @@ import numpy as np
 
 from .acf import acf_hill_valid, classic_acf
 from .fisher import fisher_test, siegel_candidates
-from .huber_periodogram import huber_periodogram, zero_pad
+from .huber_periodogram import huber_periodogram
 from .preprocess import preprocess
 from .robust_period import MIN_PERIOD, detect_full
 
@@ -26,7 +26,7 @@ def huber_fisher(y: np.ndarray) -> list[int]:
     if n < 16:
         return []
     x = preprocess(y)
-    P = huber_periodogram(zero_pad(x), n_data=n)
+    P = huber_periodogram(x)
     sig, k_star, _ = fisher_test(P)
     if not sig or k_star < 1:
         return []
@@ -41,7 +41,7 @@ def huber_siegel_acf(y: np.ndarray) -> list[int]:
     if n < 16:
         return []
     x = preprocess(y)
-    P = huber_periodogram(zero_pad(x), n_data=n)
+    P = huber_periodogram(x)
     ks = siegel_candidates(P)
     a = classic_acf(x)
     out = []
@@ -49,7 +49,7 @@ def huber_siegel_acf(y: np.ndarray) -> list[int]:
         cand = int(round(2 * n / k))
         if cand < MIN_PERIOD or cand > n // 2:
             continue
-        ok, refined = acf_hill_valid(a, k, 2 * n)
+        ok, refined = acf_hill_valid(a, k)
         if ok:
             out.append(refined)
     return sorted(set(out))

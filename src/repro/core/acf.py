@@ -1,8 +1,8 @@
 """Autocorrelation machinery: classic ACF, Huber-ACF via Wiener–Khinchin
 (Eq. 13), peak detection, and the Huber-ACF-Med period validation.
 
-Huber-ACF: the level series is zero-padded to N' = 2N *before* the
-periodogram, so the inverse real DFT of the one-sided periodogram is the
+Huber-ACF: ``huber_periodogram`` zero-pads the level series to N' = 2N,
+so the inverse real DFT of its N + 1 one-sided ordinates is the
 *linear* (not circular) autocovariance sum Σ_n x_n x_{n+t}; the unbiased
 normalization divides by (N−t).  We normalize so ACF(0) = 1
 (``N·p_t/((N−t)·p_0)``) — the printed Eq. 13 gives ACF(0)=1/N, at odds
@@ -15,6 +15,8 @@ test at periodogram index k has resolution interval
 
 The median spacing of qualifying ACF peaks is the final period iff it
 falls inside R_k.  ``acf_hill_valid`` is AUTOPERIOD's check on R_k.
+Every helper reads N from its input: N + 1 periodogram ordinates, or the
+N lags of an ACF.
 """
 from __future__ import annotations
 
@@ -45,10 +47,12 @@ def classic_acf(w: np.ndarray, unbiased: bool = True) -> np.ndarray:
     return acov / denom
 
 
-def huber_acf(P_half: np.ndarray, n: int) -> np.ndarray:
-    """Huber-ACF (Eq. 13) from the one-sided Huber-periodogram of the
-    zero-padded (N' = 2N) level series.  Returns lags 0..N−1, ACF(0)=1."""
-    p = np.fft.irfft(P_half[:n + 1], 2 * n)[:n]
+def huber_acf(P_half: np.ndarray) -> np.ndarray:
+    """Huber-ACF (Eq. 13) from the one-sided Huber-periodogram (N + 1 bins)
+    of the zero-padded (N' = 2N) level series.  Returns lags 0..N−1,
+    ACF(0)=1."""
+    n = P_half.size - 1
+    p = np.fft.irfft(P_half, 2 * n)[:n]
     if p[0] == 0:
         return np.zeros(n)
     t = np.arange(n)
@@ -87,8 +91,9 @@ def resolution_interval(k: int, n_prime: int) -> tuple[float, float]:
     return lo, hi
 
 
-def acf_med_period(acf_vals: np.ndarray, k_star: int, n: int) -> int:
-    """Huber-ACF-Med: median peak spacing validated against R_{k*}.
+def acf_med_period(acf_vals: np.ndarray, k_star: int) -> int:
+    """Huber-ACF-Med: median peak spacing of the lag 0..N−1 ACF, validated
+    against R_{k*} (N' = 2N).
 
     Beyond the paper's R_k location check, two persistence guards reject
     the pseudo-periodic ACF of band-passed noise (whose correlation
@@ -101,6 +106,7 @@ def acf_med_period(acf_vals: np.ndarray, k_star: int, n: int) -> int:
 
     Returns the final integer period, or 0 if validation fails.
     """
+    n = acf_vals.size
     peaks = detect_peaks(acf_vals)
     if peaks.size == 0 or k_star < 1:
         return 0
@@ -123,14 +129,14 @@ def acf_med_period(acf_vals: np.ndarray, k_star: int, n: int) -> int:
     return 0
 
 
-def acf_hill_valid(acf_vals: np.ndarray, k: int, n_prime: int
-                   ) -> tuple[bool, int]:
+def acf_hill_valid(acf_vals: np.ndarray, k: int) -> tuple[bool, int]:
     """AUTOPERIOD validation: the candidate from periodogram index ``k``
-    is kept iff the ACF has an interior local maximum ("hill") inside the
-    candidate's resolution interval R_k; the refined period is that peak.
+    (of the N' = 2N padded series) is kept iff the lag 0..N−1 ACF has an
+    interior local maximum ("hill") inside the candidate's resolution
+    interval R_k; the refined period is that peak.
     """
     n = acf_vals.size
-    lo, hi = resolution_interval(k, n_prime)
+    lo, hi = resolution_interval(k, 2 * n)
     lo_i = max(2, int(np.floor(lo)))
     hi_i = min(n - 2, int(np.ceil(hi)))
     if hi_i - lo_i < 2:

@@ -31,27 +31,19 @@ def _pentadiagonal_ldl(d0: np.ndarray, d1: np.ndarray, d2: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Banded LDLᵀ factor ``(d, l1, l2)`` of a symmetric pentadiagonal SPD
     ``A``: ``d0`` is the main diagonal (len N), ``d1`` the first sub/super
-    diagonal (len N−1), ``d2`` the second (len N−2)."""
+    diagonal (len N−1), ``d2`` the second (len N−2).
+
+    Each factor array has length N+2 and holds row i at index i+2; the
+    other entries are zero sentinels, so rows 0, 1 (and N−2, N−1 in
+    ``_ldl_solve``) run the general recurrence (``x − 0.0`` is exact)."""
     n = d0.size
-    d = np.empty(n)
-    l1 = np.zeros(max(n - 1, 0))
-    l2 = np.zeros(max(n - 2, 0))
-    d[0] = d0[0]
-    if n > 1:
-        l1[0] = d1[0] / d[0]
-        if n > 2:
-            l2[0] = d2[0] / d[0]
-        d[1] = d0[1] - l1[0] ** 2 * d[0]
-        if n > 2:
-            l1[1] = (d1[1] - l2[0] * l1[0] * d[0]) / d[1]
-            if n > 3:
-                l2[1] = d2[1] / d[1]
-    for i in range(2, n):
-        d[i] = d0[i] - l1[i - 1] ** 2 * d[i - 1] - l2[i - 2] ** 2 * d[i - 2]
-        if i < n - 1:
-            l1[i] = (d1[i] - l2[i - 1] * l1[i - 1] * d[i - 1]) / d[i]
-        if i < n - 2:
-            l2[i] = d2[i] / d[i]
+    d, l1, l2 = np.zeros(n + 2), np.zeros(n + 2), np.zeros(n + 2)
+    for i in range(2, n + 2):
+        d[i] = d0[i - 2] - l1[i - 1] ** 2 * d[i - 1] - l2[i - 2] ** 2 * d[i - 2]
+        if i < n + 1:
+            l1[i] = (d1[i - 2] - l2[i - 1] * l1[i - 1] * d[i - 1]) / d[i]
+        if i < n:
+            l2[i] = d2[i - 2] / d[i]
     return d, l1, l2
 
 
@@ -59,24 +51,18 @@ def _ldl_solve(factor: tuple[np.ndarray, np.ndarray, np.ndarray],
                y: np.ndarray) -> np.ndarray:
     """Solve ``A x = y`` given the ``_pentadiagonal_ldl`` factor of ``A``."""
     d, l1, l2 = factor
-    n = d.size
+    n = d.size - 2
+    z = np.zeros(n + 4)
+    z[2:n + 2] = y
     # Forward solve L z = y
-    z = np.empty(n)
-    z[0] = y[0]
-    if n > 1:
-        z[1] = y[1] - l1[0] * z[0]
-    for i in range(2, n):
-        z[i] = y[i] - l1[i - 1] * z[i - 1] - l2[i - 2] * z[i - 2]
+    for i in range(2, n + 2):
+        z[i] = z[i] - l1[i - 1] * z[i - 1] - l2[i - 2] * z[i - 2]
     # Diagonal solve D w = z
-    z /= d
-    # Back solve Lᵀ x = w
-    x = np.empty(n)
-    x[n - 1] = z[n - 1]
-    if n > 1:
-        x[n - 2] = z[n - 2] - l1[n - 2] * x[n - 1]
-    for i in range(n - 3, -1, -1):
-        x[i] = z[i] - l1[i] * x[i + 1] - l2[i] * x[i + 2]
-    return x
+    z[2:n + 2] /= d[2:]
+    # Back solve Lᵀ x = w, in place
+    for i in range(n + 1, 1, -1):
+        z[i] = z[i] - l1[i] * z[i + 1] - l2[i] * z[i + 2]
+    return z[2:n + 2]
 
 
 @lru_cache(maxsize=8)

@@ -1,6 +1,7 @@
 """Periodograms: ordinary (Eq. 5) and the Huber M-periodogram (Eq. 6-7).
 
-The M-periodogram at frequency index k is
+The M-periodogram of a length-N series x at frequency index k is taken
+on the series zero-padded to N' = 2N (§3.4):
 
     P^M_k = (N'/4) · ||β̂(k)||²,
     β̂(k) = argmin_β Σ_t γ( φ_t β − x_t ),   φ_t = [cos(2πkt/N'), sin(2πkt/N')]
@@ -9,13 +10,16 @@ The paper solves the Huber case by ADMM; the objective is convex with a
 unique minimizer on the full-rank 2-column harmonic design, so IRLS
 converges to the same β̂ (documented substitution in DESIGN.md).  IRLS
 vectorizes across frequencies: a cache-sized chunk of K frequencies shares
-K×N residual/weight arrays (N = the data half of a zero-padded series),
-each iteration solving K independent 2×2 weighted normal systems in
-closed form.
+K×N residual/weight arrays (the pad folded onto the data half), each
+iteration solving K independent 2×2 weighted normal systems in closed
+form.
 
 Robust scale handling: the minimizer of the Huber problem with threshold
 ζ·σ̂ on data x equals σ̂ times the minimizer with threshold ζ on x/σ̂, so
-we normalize by the MAD-based scale and use the standard ζ = 1.345.
+we normalize by the MAD-based scale of the unpadded series and use the
+standard ζ = 1.345.  (The scale of the padded series would collapse: its
+MAD sees ≥ 50% exact zeros, which turns the fit into a LAD fit that the
+zeros pull to β = 0.)
 """
 from __future__ import annotations
 
@@ -42,17 +46,17 @@ def ordinary_periodogram(x: np.ndarray) -> np.ndarray:
     return (X.real**2 + X.imag**2) / x.size
 
 
-def _irls_chunk(x: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:
-    """Solve the Huber M-periodogram of a length-``n`` series for a chunk of
+def _irls_chunk(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Solve the Huber M-periodogram of ``zero_pad(x)`` for a chunk of
     frequency indices.  Returns ||β̂(k)||² per k.  Each bin stops at its own
     ``IRLS_TOL``, so its result does not depend on which bins share its chunk.
 
-    ``x`` is the series, or the data half of ``[x, 0]`` (``zero_pad``) when
-    ``x.size < n``.  Fold: at ``t + n/2`` bin k's angle is ``θ_t + πk``, so
-    cos and sin flip sign together; the pad residual is ``|a·C_t + b·S_t|``
-    and ``C²``, ``C·S`` are unchanged, so the pad's weights add onto the
-    data-half grid (and the pad adds nothing to ``C·x``, ``S·x``).
+    Fold: at ``t + N`` bin k's angle is ``θ_t + πk``, so cos and sin flip
+    sign together; the pad residual is ``|a·C_t + b·S_t|`` and ``C²``,
+    ``C·S`` are unchanged, so the pad's weights add onto the data-half grid
+    (and the pad adds nothing to ``C·x``, ``S·x``).
     """
+    n = 2 * x.size                      # N'
     ang = 2.0 * np.pi / n * np.arange(n)
     idx = np.outer(ks, np.arange(x.size)) % n
     C, S = np.cos(ang)[idx], np.sin(ang)[idx]
@@ -60,11 +64,11 @@ def _irls_chunk(x: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:
     # OLS init (exact at Fourier frequencies).
     a, b = 2.0 / n * Cx.sum(axis=1), 2.0 / n * Sx.sum(axis=1)
     active = np.ones(ks.size, dtype=bool)
-    r, w, pad = np.empty_like(C), np.empty_like(C), np.empty_like(C)
+    r, w, wpad = np.empty_like(C), np.empty_like(C), np.empty_like(C)
     for _ in range(IRLS_MAX_ITER):
         np.multiply(a[:, None], C, out=r)
         r += np.multiply(b[:, None], S, out=w)
-        wpad = huber_weights(r, HUBER_ZETA, out=pad) if x.size < n else 0.0
+        huber_weights(r, HUBER_ZETA, out=wpad)
         huber_weights(np.subtract(r, x, out=r), HUBER_ZETA, out=w)
         Scx, Ssx = np.einsum("kt,kt->k", w, Cx), np.einsum("kt,kt->k", w, Sx)
         w += wpad
@@ -83,40 +87,30 @@ def _irls_chunk(x: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:
 
 
 def huber_periodogram(x: np.ndarray, *,
-                      exact_band: tuple[int, int] | None = None,
-                      n_data: int | None = None) -> np.ndarray:
-    """Huber M-periodogram of Eq. 6 for k = 0..⌊N/2⌋.
+                      exact_band: tuple[int, int] | None = None
+                      ) -> np.ndarray:
+    """Huber M-periodogram of Eq. 6 of the length-N series ``x``, on
+    ``zero_pad(x)``: k = 0..N over N' = 2N.
 
     ``exact_band=(lo, hi)`` restricts the (expensive) robust solve to the
     frequency indices ``lo ≤ k ≤ hi`` — the per-level speed-up of §3.4.1
     — with the ordinary periodogram (Eq. 5) approximating the rest.
     ``exact_band=None`` solves every interior frequency robustly.
-
-    ``n_data``: length of the real (unpadded) prefix of ``x``.  The robust
-    scale is estimated on that prefix only — estimating it on the padded
-    series collapses the MAD (≥50% exact zeros), which turns the Huber fit
-    into a LAD fit that a majority of zeros pulls to β=0, crushing genuine
-    spectral peaks.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    nyq = n // 2
-    P = ordinary_periodogram(x)
-    sig = robust_scale(x[: n_data if n_data else n])
+    P = ordinary_periodogram(zero_pad(x))
+    sig = robust_scale(x)
     if sig <= 0 or not np.isfinite(sig):
         return P
-    xn = x / sig
-    lo, hi = (1, nyq) if exact_band is None else exact_band
-    lo = max(1, int(lo))
-    hi = min(nyq - 1 if n % 2 == 0 else nyq, int(hi))
+    lo, hi = (1, n) if exact_band is None else exact_band
+    lo, hi = max(1, int(lo)), min(n - 1, int(hi))
     if hi < lo:
         return P
-    if n % 2 == 0 and not xn[nyq:].any():
-        xn = xn[:nyq]                   # [x, 0]: fold the pad (_irls_chunk)
-    rows = int(np.clip(CHUNK_ELEMS // xn.size, *CHUNK_ROWS))
+    xn = x / sig
+    rows = int(np.clip(CHUNK_ELEMS // n, *CHUNK_ROWS))
     ks = np.arange(lo, hi + 1)
-    beta2 = np.concatenate([_irls_chunk(xn, ks[s:s + rows], n)
+    beta2 = np.concatenate([_irls_chunk(xn, ks[s:s + rows])
                             for s in range(0, ks.size, rows)])
-    P[ks] = (n / 4.0) * beta2 * sig**2
+    P[ks] = (n / 2.0) * beta2 * sig**2      # N'/4 = N/2
     return P
-

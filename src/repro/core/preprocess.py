@@ -59,6 +59,8 @@ def detrend_normalize(y: np.ndarray) -> np.ndarray:
     preprocessing, so baselines get this variant.
     """
     y, tiny = _detrend(y)
+    if y.size == 0:
+        return y
     s = float(np.std(y))
     return (y - float(np.mean(y))) / s if s > tiny else np.zeros_like(y)
 

@@ -109,13 +109,11 @@ def detect_full(
             continue
         lev.selected = True
         w = W[j]
-        xp = zero_pad(w)
-        band_lo = n_prime // 2 ** (j + 2)
-        band_hi = n_prime // 2 ** (j + 1)
+        band = (n_prime // 2 ** (j + 2), n_prime // 2 ** (j + 1))
         if robust:
-            P = huber_periodogram(xp, exact_band=(band_lo, band_hi), n_data=n)
+            P = huber_periodogram(w, exact_band=band)
         else:
-            P = ordinary_periodogram(xp)
+            P = ordinary_periodogram(zero_pad(w))
         sig, k_star, p = fisher_test(P)
         lev.pvalue = p
         if not sig or k_star < 1:
@@ -125,8 +123,8 @@ def detect_full(
         lev.candidate = cand
         if cand < min_period or cand > n // 2:
             continue
-        a = huber_acf(P, n) if robust else classic_acf(w)
-        period = acf_med_period(a, k_star, n)
+        a = huber_acf(P) if robust else classic_acf(w)
+        period = acf_med_period(a, k_star)
         lev.period = period
         if period >= min_period:
             found.append((period, float(nu2[j])))

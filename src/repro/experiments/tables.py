@@ -138,9 +138,9 @@ def table6(spark: SparkSession, *, n_series: int = 20, seed: int = 0,
     return out.round(1)
 
 
-def table78(spark: SparkSession, *, n_series: int = 30, seed: int = 0,
-            lengths=(500, 1000, 2000)) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Running time (Table 7) and F1 (Table 8) vs series length.
+def length_suite(*, n_series: int, seed: int, lengths
+                 ) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """The Table 7/8 series and truth, one dataset ``len{L}`` per length.
 
     The paper samples a length-1000 3-periodic series to other lengths;
     we generate each length directly with periods scaled ∝ length so the
@@ -156,8 +156,15 @@ def table78(spark: SparkSession, *, n_series: int = 30, seed: int = 0,
                                         name=f"len{L}")
         frames.append(d)
         truths.append(t)
-    data = pd.concat(frames, ignore_index=True)
-    truth = pd.concat(truths, ignore_index=True)
+    return (pd.concat(frames, ignore_index=True),
+            pd.concat(truths, ignore_index=True))
+
+
+def table78(spark: SparkSession, *, n_series: int = 30, seed: int = 0,
+            lengths=(500, 1000, 2000)) -> tuple[pd.DataFrame, pd.DataFrame]:
+    """Running time (Table 7) and F1 (Table 8) vs series length, on
+    ``length_suite``."""
+    data, truth = length_suite(n_series=n_series, seed=seed, lengths=lengths)
     det = detect_periods(spark, data, MULTI_ALGOS)
     det.cache()
     timing = timing_summary(det).toPandas().pivot_table(

@@ -15,18 +15,18 @@ class TestAcfHillValid:
     def test_valid_on_true_period(self):
         n, T = 400, 40
         a = classic_acf(_sin(n, T))
-        ok, refined = acf_hill_valid(a, 2 * n // T, 2 * n)
+        ok, refined = acf_hill_valid(a, 2 * n // T)
         assert ok and abs(refined - T) <= 1
 
     def test_invalid_on_wrong_candidate(self):
         n, T = 400, 40
         a = classic_acf(_sin(n, T))
         # Claim period ≈ 57 (k=14): no hill there.
-        ok, _ = acf_hill_valid(a, 14, 2 * n)
+        ok, _ = acf_hill_valid(a, 14)
         assert not ok
 
     def test_degenerate_interval(self):
-        ok, refined = acf_hill_valid(np.zeros(50), 40, 100)
+        ok, refined = acf_hill_valid(np.zeros(50), 40)
         assert not ok and refined == 0
 
 

@@ -57,28 +57,28 @@ class TestWienerKhinchin:
         rng = np.random.default_rng(2)
         w = rng.normal(0, 1, 64)
         n = w.size
-        a = huber_acf(ordinary_periodogram(zero_pad(w)), n)
+        a = huber_acf(ordinary_periodogram(zero_pad(w)))
         direct = np.array([n * np.dot(w[:n - t], w[t:])
                            / ((n - t) * np.dot(w, w)) for t in range(n)])
         np.testing.assert_allclose(a, direct, atol=1e-10)
 
     def test_huber_acf_lag0_is_one(self):
         w = _sin(128, 16)
-        P = huber_periodogram(zero_pad(w), n_data=128)
-        a = huber_acf(P, 128)
+        P = huber_periodogram(w)
+        a = huber_acf(P)
         assert a[0] == pytest.approx(1.0)
 
     def test_huber_acf_matches_classic_on_clean_data(self):
         w = _sin(256, 32) + np.random.default_rng(3).normal(0, 0.05, 256)
-        P = huber_periodogram(zero_pad(w), n_data=256)
-        ah = huber_acf(P, 256)
+        P = huber_periodogram(w)
+        ah = huber_acf(P)
         ac = classic_acf(w)
         np.testing.assert_allclose(ah[:128], ac[:128], atol=0.12)
 
     def test_huber_acf_peak_at_period(self):
         w = _sin(300, 50)
-        P = huber_periodogram(zero_pad(w), n_data=300)
-        a = huber_acf(P, 300)
+        P = huber_periodogram(w)
+        a = huber_acf(P)
         assert int(np.argmax(a[30:80])) + 30 == pytest.approx(50, abs=1)
 
     def test_huber_acf_robust_to_outliers(self):
@@ -87,8 +87,8 @@ class TestWienerKhinchin:
         rng = np.random.default_rng(4)
         idx = rng.choice(300, 15, replace=False)
         wc[idx] += rng.uniform(5, 15, 15) * rng.choice([-1, 1], 15)
-        P = huber_periodogram(zero_pad(wc), n_data=300)
-        ah = huber_acf(P, 300)
+        P = huber_periodogram(wc)
+        ah = huber_acf(P)
         ac = classic_acf(w)
         # Huber-ACF of the contaminated series stays close to the clean ACF.
         assert np.corrcoef(ah[:150], ac[:150])[0, 1] > 0.9
@@ -143,18 +143,18 @@ class TestAcfMedPeriod:
     def test_validates_correct_candidate(self):
         n, T = 400, 40
         w = _sin(n, T)
-        P = huber_periodogram(zero_pad(w), n_data=n)
+        P = huber_periodogram(w)
         k_star = 2 * n // T
-        a = huber_acf(P, n)
-        assert acf_med_period(a, k_star, n) == pytest.approx(T, abs=1)
+        a = huber_acf(P)
+        assert acf_med_period(a, k_star) == pytest.approx(T, abs=1)
 
     def test_rejects_wrong_candidate(self):
         n, T = 400, 40
         w = _sin(n, T)
-        P = huber_periodogram(zero_pad(w), n_data=n)
-        a = huber_acf(P, n)
+        P = huber_periodogram(w)
+        a = huber_acf(P)
         # Claim the period is ~100 (k=8): ACF says 40 → rejected.
-        assert acf_med_period(a, 8, n) == 0
+        assert acf_med_period(a, 8) == 0
 
     def test_no_peaks_returns_zero(self):
-        assert acf_med_period(np.zeros(100), 10, 100) == 0
+        assert acf_med_period(np.zeros(100), 10) == 0

@@ -6,6 +6,62 @@ from repro.core.hp_filter import (_hp_factor, _ldl_solve, _pentadiagonal_ldl,
                                   hp_filter, hp_lambda_for_cutoff)
 
 
+def _reference_ldl(d0, d1, d2):
+    """The LDLᵀ factor with rows 0 and 1 special-cased, row i at index i."""
+    n = d0.size
+    d = np.empty(n)
+    l1 = np.zeros(max(n - 1, 0))
+    l2 = np.zeros(max(n - 2, 0))
+    d[0] = d0[0]
+    if n > 1:
+        l1[0] = d1[0] / d[0]
+        if n > 2:
+            l2[0] = d2[0] / d[0]
+        d[1] = d0[1] - l1[0] ** 2 * d[0]
+        if n > 2:
+            l1[1] = (d1[1] - l2[0] * l1[0] * d[0]) / d[1]
+            if n > 3:
+                l2[1] = d2[1] / d[1]
+    for i in range(2, n):
+        d[i] = d0[i] - l1[i - 1] ** 2 * d[i - 1] - l2[i - 2] ** 2 * d[i - 2]
+        if i < n - 1:
+            l1[i] = (d1[i] - l2[i - 1] * l1[i - 1] * d[i - 1]) / d[i]
+        if i < n - 2:
+            l2[i] = d2[i] / d[i]
+    return d, l1, l2
+
+
+def _reference_solve(factor, y):
+    """``_ldl_solve`` with the first and last two rows special-cased."""
+    d, l1, l2 = factor
+    n = d.size
+    z = np.empty(n)
+    z[0] = y[0]
+    if n > 1:
+        z[1] = y[1] - l1[0] * z[0]
+    for i in range(2, n):
+        z[i] = y[i] - l1[i - 1] * z[i - 1] - l2[i - 2] * z[i - 2]
+    z /= d
+    x = np.empty(n)
+    x[n - 1] = z[n - 1]
+    if n > 1:
+        x[n - 2] = z[n - 2] - l1[n - 2] * x[n - 1]
+    for i in range(n - 3, -1, -1):
+        x[i] = z[i] - l1[i] * x[i + 1] - l2[i] * x[i + 2]
+    return x
+
+
+def _hp_diagonals(n, lamb):
+    """Diagonals of ``I + 2λ·DᵀD``."""
+    c = 2.0 * lamb
+    d0 = np.full(n, 1.0 + 6.0 * c)
+    d0[0] = d0[-1] = 1.0 + 1.0 * c
+    d0[1] = d0[-2] = 1.0 + 5.0 * c
+    d1 = np.full(n - 1, -4.0 * c)
+    d1[0] = d1[-1] = -2.0 * c
+    return d0, d1, np.full(n - 2, 1.0 * c)
+
+
 def _dense_hp(y, lamb):
     n = y.size
     D = np.zeros((n - 2, n))
@@ -23,6 +79,24 @@ class TestPentadiagonalSolver:
         lamb = 10.0
         np.testing.assert_allclose(_ldl_solve(_hp_factor(n, lamb), y),
                                    _dense_hp(y, lamb), rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 500, 2001, 7200])
+    def test_bit_identical_to_special_cased_reference(self, n):
+        rng = np.random.default_rng(n)
+        lamb = hp_lambda_for_cutoff(n / 2.0)
+        factor = _pentadiagonal_ldl(*_hp_diagonals(n, lamb))
+        ref = _reference_ldl(*_hp_diagonals(n, lamb))
+        d, l1, l2 = factor
+        for got, want in ((d[2:], ref[0]), (l1[2:n + 1], ref[1]),
+                          (l2[2:n], ref[2])):
+            np.testing.assert_array_equal(got, want)
+        sentinels = np.concatenate([d[:2], l1[:2], l1[n + 1:], l2[:2],
+                                    l2[n:]])
+        np.testing.assert_array_equal(sentinels, 0.0)
+        y = rng.normal(0, 1, n)
+        np.testing.assert_array_equal(_ldl_solve(factor, y),
+                                      _reference_solve(ref, y))
+        np.testing.assert_array_equal(hp_filter(y), _reference_solve(ref, y))
 
     def test_identity_system(self):
         # d1=d2=0 → A=diag(d0); solve is y/d0.

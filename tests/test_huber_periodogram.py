@@ -12,15 +12,17 @@ def _sin(n, T, amp=1.0, phase=0.3):
     return amp * np.sin(2 * np.pi * np.arange(n) / T + phase)
 
 
-def _reference_huber_periodogram(x, exact_band, n_data):
-    """The straightforward solve: K×N' cos/sin, 256-bin chunks, each chunk
-    iterated until its largest step is below ``IRLS_TOL``."""
-    n, nyq = x.size, x.size // 2
+def _reference_huber_periodogram(w, exact_band):
+    """The straightforward solve on ``zero_pad(w)``: K×N' cos/sin, 256-bin
+    chunks, each chunk iterated until its largest step is below
+    ``IRLS_TOL``; the scale comes from the unpadded ``w``."""
+    x = zero_pad(w)
+    n, nyq = x.size, w.size
     P = ordinary_periodogram(x)
-    sig = robust_scale(x[: n_data or n])
+    sig = robust_scale(w)
     xn = x / sig
     lo, hi = (1, nyq) if exact_band is None else exact_band
-    lo, hi = max(1, lo), min(nyq - 1 if n % 2 == 0 else nyq, hi)
+    lo, hi = max(1, lo), min(nyq - 1, hi)
     for s in range(lo, hi + 1, 256):
         ks = np.arange(s, min(s + 256, hi + 1))
         ang = 2.0 * np.pi * np.outer(ks, np.arange(n)) / n
@@ -75,14 +77,14 @@ class TestMPeriodogramEquivalences:
         # reduces to OLS = the ordinary periodogram at Fourier bins.
         x = _sin(256, 16, amp=0.5)
         Ph = huber_periodogram(x)
-        Po = ordinary_periodogram(x)
-        assert Ph[16] == pytest.approx(Po[16], rel=0.05)
+        Po = ordinary_periodogram(zero_pad(x))
+        assert Ph[32] == pytest.approx(Po[32], rel=0.05)
 
     def test_gaussian_noise_close_to_ordinary(self):
         rng = np.random.default_rng(1)
         x = rng.normal(0, 1, 256)
         Ph = huber_periodogram(x)
-        Po = ordinary_periodogram(x)
+        Po = ordinary_periodogram(zero_pad(x))
         # Same order of magnitude on the bulk (Huber ≈ L2 for Gaussian).
         ratio = (Ph[1:] + 1e-6) / (Po[1:] + 1e-6)
         assert np.median(ratio) == pytest.approx(1.0, abs=0.3)
@@ -95,8 +97,8 @@ class TestMPeriodogramEquivalences:
         idx = rng.choice(n, 25, replace=False)
         xc[idx] += rng.uniform(5, 15, 25) * rng.choice([-1, 1], 25)
         Ph = huber_periodogram(xc)
-        Po = ordinary_periodogram(xc)
-        k = n // T
+        Po = ordinary_periodogram(zero_pad(xc))
+        k = 2 * n // T
         # Huber: peak-to-background ratio much better than ordinary.
         bg_h = np.median(Ph[1:])
         bg_o = np.median(Po[1:])
@@ -105,52 +107,53 @@ class TestMPeriodogramEquivalences:
     def test_exact_band_outside_is_ordinary(self):
         rng = np.random.default_rng(3)
         x = rng.normal(0, 1, 200)
-        P = huber_periodogram(x, exact_band=(20, 40))
-        Po = ordinary_periodogram(x)
-        np.testing.assert_allclose(P[:20], Po[:20])
-        np.testing.assert_allclose(P[41:], Po[41:])
+        P = huber_periodogram(x, exact_band=(40, 80))
+        Po = ordinary_periodogram(zero_pad(x))
+        np.testing.assert_allclose(P[:40], Po[:40])
+        np.testing.assert_allclose(P[81:], Po[81:])
 
     def test_exact_band_inside_differs_under_outliers(self):
         x = _sin(400, 20)
         x[::37] += 20.0
-        P = huber_periodogram(x, exact_band=(15, 25))
-        Po = ordinary_periodogram(x)
-        assert not np.allclose(P[15:26], Po[15:26])
+        P = huber_periodogram(x, exact_band=(30, 50))
+        Po = ordinary_periodogram(zero_pad(x))
+        assert not np.allclose(P[30:51], Po[30:51])
 
     def test_chunking_invariance(self, monkeypatch):
         # Each bin converges on its own, so chunking cannot move a bit.
         w = _sin(300, 30) + np.random.default_rng(4).normal(0, 0.3, 300)
-        for x, n_data in ((w, None), (zero_pad(w), 300)):
-            P = []
-            for rows in (8, 512):
-                monkeypatch.setattr(hp, "CHUNK_ROWS", (rows, rows))
-                P.append(huber_periodogram(x, n_data=n_data))
-            np.testing.assert_array_equal(*P)
+        P = []
+        for rows in (8, 512):
+            monkeypatch.setattr(hp, "CHUNK_ROWS", (rows, rows))
+            P.append(huber_periodogram(w))
+        np.testing.assert_array_equal(*P)
 
     def test_n_data_prefix_scale(self):
-        # Padded series: scale must come from the unpadded prefix, so the
-        # big spectral peak survives the robust fit.
+        # The scale comes from the unpadded series, not the padded one, so
+        # the big spectral peak survives the robust fit.
         n, T = 400, 40
-        P = huber_periodogram(zero_pad(_sin(n, T)), n_data=n)
+        P = huber_periodogram(_sin(n, T))
         k = 2 * n // T
         assert np.argmax(P[1:]) + 1 == k
 
     def test_zero_series(self):
         P = huber_periodogram(np.zeros(64))
+        assert P.size == 65
         np.testing.assert_allclose(P, 0.0)
 
     def test_invalid_band_returns_ordinary(self):
         x = _sin(128, 8)
         P = huber_periodogram(x, exact_band=(60, 10))
-        np.testing.assert_allclose(P, ordinary_periodogram(x))
+        np.testing.assert_allclose(P, ordinary_periodogram(zero_pad(x)))
 
 
 class TestMatchesReference:
     """The folded, per-bin-converged solve against the K×N' reference."""
 
-    # ``loss`` only names the loss in the test IDs.
+    # ``loss`` and ``padded`` only keep the test IDs: the loss is Huber and
+    # the series is always zero-padded.
     @pytest.mark.parametrize("loss", ["huber"])
-    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("padded", [True])
     @pytest.mark.parametrize("n", [256, 301])
     @pytest.mark.parametrize("band", ["all", "low", "nyquist"])
     @pytest.mark.parametrize("kind", ["noise", "outliers"])
@@ -163,12 +166,10 @@ class TestMatchesReference:
             idx = rng.choice(n, n // 20, replace=False)
             w[idx] += rng.uniform(5, 15, idx.size) * rng.choice([-1, 1],
                                                                 idx.size)
-        x, n_data = (zero_pad(w), n) if padded else (w, None)
-        nyq = x.size // 2
         exact_band = {"all": None, "low": (1, 40),
-                      "nyquist": (nyq - 40, nyq)}[band]
-        P = huber_periodogram(x, exact_band=exact_band, n_data=n_data)
-        ref = _reference_huber_periodogram(x, exact_band, n_data)
+                      "nyquist": (n - 40, n)}[band]
+        P = huber_periodogram(w, exact_band=exact_band)
+        ref = _reference_huber_periodogram(w, exact_band)
         # Per-bin stopping moves an ordinate by < 1e-5.
         np.testing.assert_allclose(P, ref, rtol=1e-5,
-                                   atol=1e-12 * np.sum(x**2))
+                                   atol=1e-12 * np.sum(w**2))

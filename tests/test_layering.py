@@ -4,7 +4,8 @@ Imports run one way, ``core ← baselines ← sparkrun ← experiments``, and
 all live at module level, so a module's dependencies are visible at its
 top.  The ablations are experiments on the core, not a part of it: no
 core or baseline module may import them.  Every registered algorithm
-takes the series and nothing else: the paper fixes its settings.
+takes the series and nothing else: the paper fixes its settings.  The
+spectral and ACF helpers read N from their inputs, so none takes a length.
 """
 import ast
 import inspect
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.acf import acf_hill_valid, acf_med_period, huber_acf
+from repro.core.huber_periodogram import huber_periodogram
 from repro.sparkrun.detect import ALGOS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -62,3 +65,16 @@ def test_core_and_baselines_import_downward_only(path):
 @pytest.mark.parametrize("algo", sorted(ALGOS))
 def test_algo_signature_is_y_only(algo):
     assert list(inspect.signature(ALGOS[algo]).parameters) == ["y"]
+
+
+LENGTH_FREE = {
+    huber_periodogram: ["x", "exact_band"],
+    huber_acf: ["P_half"],
+    acf_med_period: ["acf_vals", "k_star"],
+    acf_hill_valid: ["acf_vals", "k"],
+}
+
+
+@pytest.mark.parametrize("fn", LENGTH_FREE, ids=lambda fn: fn.__name__)
+def test_spectral_helpers_take_no_length(fn):
+    assert list(inspect.signature(fn).parameters) == LENGTH_FREE[fn]

@@ -126,6 +126,7 @@ class TestInvariance:
             for c in (1e-9, 1e6, -1.0):
                 assert fn(c * y) == expect, c
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("algo", sorted(ALGOS))
     def test_degenerate_inputs(self, algo):
         fn = ALGOS[algo]
