@@ -30,6 +30,8 @@ from .robust_stats import huber_weights, robust_scale
 HUBER_ZETA = 1.345
 IRLS_MAX_ITER = 20
 IRLS_TOL = 1e-7
+#: Below this |a| + |b| every pad residual is inside ζ (see ``_irls_chunk``).
+UNIT_PAD_BOUND = HUBER_ZETA * (1.0 - 1e-12)
 CHUNK_ELEMS = 1 << 16   # rows per chunk ≈ CHUNK_ELEMS/N, within CHUNK_ROWS
 CHUNK_ROWS = (8, 256)
 
@@ -55,6 +57,12 @@ def _irls_chunk(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
     sign together; the pad residual is ``|a·C_t + b·S_t|`` and ``C²``,
     ``C·S`` are unchanged, so the pad's weights add onto the data-half grid
     (and the pad adds nothing to ``C·x``, ``S·x``).
+
+    Unit pad weights: ``|C_t|, |S_t| ≤ 1``, so ``|a·C_t + b·S_t| ≤ |a| + |b|``
+    up to a few ulps of rounding.  When ``|a| + |b| ≤ ζ·(1 − 1e-12)`` on every
+    row, every pad residual is at most ζ and ``huber_weights`` would return
+    exactly 1.0 for each (``ζ/|r| ≥ 1`` is correctly rounded), so adding
+    1.0 instead of the pad's weights gives the same bits.
     """
     n = 2 * x.size                      # N'
     ang = 2.0 * np.pi / n * np.arange(n)
@@ -66,12 +74,14 @@ def _irls_chunk(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
     active = np.ones(ks.size, dtype=bool)
     r, w, wpad = np.empty_like(C), np.empty_like(C), np.empty_like(C)
     for _ in range(IRLS_MAX_ITER):
+        unit_pad = np.all(np.abs(a) + np.abs(b) <= UNIT_PAD_BOUND)
         np.multiply(a[:, None], C, out=r)
         r += np.multiply(b[:, None], S, out=w)
-        huber_weights(r, HUBER_ZETA, out=wpad)
+        if not unit_pad:
+            huber_weights(r, HUBER_ZETA, out=wpad)
         huber_weights(np.subtract(r, x, out=r), HUBER_ZETA, out=w)
         Scx, Ssx = np.einsum("kt,kt->k", w, Cx), np.einsum("kt,kt->k", w, Sx)
-        w += wpad
+        w += 1.0 if unit_pad else wpad
         Scc, Scs = np.einsum("kt,kt->k", w, CC), np.einsum("kt,kt->k", w, CS)
         Sss = w.sum(axis=1) - Scc          # cos² + sin² = 1
         det = Scc * Sss - Scs**2

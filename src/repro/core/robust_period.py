@@ -40,7 +40,11 @@ MERGE_REL_TOL = 0.1
 
 @dataclass
 class LevelResult:
-    """Diagnostics for one wavelet level (one row of the paper's Fig. 5)."""
+    """Diagnostics for one wavelet level (one row of the paper's Fig. 5).
+
+    A selected level whose band's longest period 2^(level+1) is at most
+    ``min_period`` is not searched, so it keeps the defaults below.
+    """
     level: int
     variance: float
     selected: bool = False
@@ -87,6 +91,13 @@ def detect_full(
     ``robust=False`` is the NR-RobustPeriod ablation (Table 5): the same
     procedure with every robust estimator (wavelet variance, periodogram,
     ACF) replaced by its classical counterpart.
+
+    Level j searches periods in its band [2^j, 2^(j+1)].  A selected level
+    whose longest band period 2^(j+1) is at most ``min_period`` could
+    report at most that edge period, which level j+1's band also covers,
+    so it is not searched: it keeps ``pvalue`` 1.0 and no candidate.  This
+    skip is not from the paper; at ``MIN_PERIOD`` = 4 it skips level 1
+    only, and it changed no output on a 1466-series check.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -108,6 +119,8 @@ def detect_full(
         if total > 0 and nu2[j] < ENERGY_FRAC * total:
             continue
         lev.selected = True
+        if 2 ** (j + 2) <= min_period:      # longest period of level j + 1
+            continue
         w = W[j]
         band = (n_prime // 2 ** (j + 2), n_prime // 2 ** (j + 1))
         if robust:

@@ -64,7 +64,9 @@ def biweight_midvariance(x: np.ndarray) -> float:
         # Degenerate scale: fall back to the classical variance, which is 0
         # for a constant array and still sensible otherwise.
         return float(np.var(d))
-    u = d / (BIWEIGHT_C * s)
+    # A subnormal MAD overflows u to ±inf; |u| ≥ 1 is masked out below.
+    with np.errstate(over="ignore"):
+        u = d / (BIWEIGHT_C * s)
     mask = np.abs(u) < 1.0
     if not mask.any():
         return 0.0

@@ -47,6 +47,37 @@ def _reference_huber_periodogram(w, exact_band):
     return P
 
 
+def _reference_irls_chunk(x, ks):
+    """The folded solve that always computes the pad's Huber weights."""
+    n = 2 * x.size
+    ang = 2.0 * np.pi / n * np.arange(n)
+    idx = np.outer(ks, np.arange(x.size)) % n
+    C, S = np.cos(ang)[idx], np.sin(ang)[idx]
+    CC, CS, Cx, Sx = C * C, C * S, C * x, S * x
+    a, b = 2.0 / n * Cx.sum(axis=1), 2.0 / n * Sx.sum(axis=1)
+    active = np.ones(ks.size, dtype=bool)
+    r, w, wpad = np.empty_like(C), np.empty_like(C), np.empty_like(C)
+    for _ in range(hp.IRLS_MAX_ITER):
+        np.multiply(a[:, None], C, out=r)
+        r += np.multiply(b[:, None], S, out=w)
+        hp.huber_weights(r, hp.HUBER_ZETA, out=wpad)
+        hp.huber_weights(np.subtract(r, x, out=r), hp.HUBER_ZETA, out=w)
+        Scx, Ssx = np.einsum("kt,kt->k", w, Cx), np.einsum("kt,kt->k", w, Sx)
+        w += wpad
+        Scc, Scs = np.einsum("kt,kt->k", w, CC), np.einsum("kt,kt->k", w, CS)
+        Sss = w.sum(axis=1) - Scc
+        det = Scc * Sss - Scs**2
+        ok = active & (det > 1e-12)
+        d = np.where(ok, det, 1.0)
+        a_new = np.where(ok, (Sss * Scx - Scs * Ssx) / d, a)
+        b_new = np.where(ok, (Scc * Ssx - Scs * Scx) / d, b)
+        active &= np.abs(a_new - a) + np.abs(b_new - b) >= hp.IRLS_TOL
+        a, b = a_new, b_new
+        if not active.any():
+            break
+    return a**2 + b**2
+
+
 class TestOrdinaryPeriodogram:
     def test_length(self):
         assert ordinary_periodogram(np.zeros(100)).size == 51
@@ -173,3 +204,47 @@ class TestMatchesReference:
         # Per-bin stopping moves an ordinate by < 1e-5.
         np.testing.assert_allclose(P, ref, rtol=1e-5,
                                    atol=1e-12 * np.sum(w**2))
+
+
+class TestUnitPadWeights:
+    """Skipping the pad's weight pass when every pad weight is 1 keeps
+    every bit of the always-compute-the-pad-weights solve."""
+
+    @pytest.mark.parametrize("n", [256, 301, 1000])
+    @pytest.mark.parametrize("band", ["all", "level1", "level3"])
+    @pytest.mark.parametrize("kind", ["noise", "sinusoid", "outliers"])
+    def test_bit_identical_to_always_weighted(self, monkeypatch, n, band,
+                                              kind):
+        rng = np.random.default_rng(n)
+        w = rng.normal(0, 1, n)
+        if kind != "noise":
+            # Periods 3 (level 1) and 10 (level 3) on the last quarter
+            # only: the MAD scale stays that of the noise, so their
+            # amplitudes are ≫ ζ in scale units.
+            t = slice(3 * n // 4, n)
+            w[t] += _sin(n, 3, amp=50.0)[t] + _sin(n, 10, amp=50.0)[t]
+        if kind == "outliers":
+            idx = rng.choice(n, n // 20, replace=False)
+            w[idx] += rng.uniform(20, 50, idx.size) * rng.choice([-1, 1],
+                                                                 idx.size)
+        exact_band = {"all": None, "level1": (n // 2, n),
+                      "level3": (n // 8, n // 4)}[band]
+        calls = [0]
+
+        def counted(*args, **kw):
+            calls[0] += 1
+            return huber_weights(*args, **kw)
+
+        monkeypatch.setattr(hp, "huber_weights", counted)
+        P = huber_periodogram(w, exact_band=exact_band)
+        fast = calls[0]
+        monkeypatch.setattr(hp, "_irls_chunk", _reference_irls_chunk)
+        calls[0] = 0
+        ref = huber_periodogram(w, exact_band=exact_band)
+        # Same bits → same iterations; the reference takes two weight
+        # passes per iteration, the unit branch one.
+        np.testing.assert_array_equal(P, ref)
+        if kind == "noise":
+            assert 2 * fast == calls[0]
+        else:
+            assert calls[0] // 2 < fast < calls[0]

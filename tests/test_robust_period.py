@@ -176,6 +176,34 @@ class TestDiagnostics:
             if not lv.selected:
                 assert lv.period == 0
 
+    def test_level_below_min_period_not_searched(self, monkeypatch):
+        # Level 1's band [2, 4] holds no period above MIN_PERIOD = 4: it is
+        # selected on white noise but gets no periodogram, robust or NR.
+        y = np.random.default_rng(0).normal(0, 1, 500)
+        n = y.size
+        W, _ = rp.modwt(rp.preprocess(y), rp.WAVELET,
+                        rp.max_usable_level(n, rp.MAX_LEVEL))
+        calls = []
+
+        def spy(fn):
+            def recorded(x, **kw):
+                calls.append((np.asarray(x)[:n].copy(), kw.get("exact_band")))
+                return fn(x, **kw)
+            return recorded
+
+        monkeypatch.setattr(rp, "huber_periodogram", spy(rp.huber_periodogram))
+        monkeypatch.setattr(rp, "ordinary_periodogram",
+                            spy(rp.ordinary_periodogram))
+        for robust in (True, False):
+            calls.clear()
+            lev1 = detect_full(y, robust=robust).levels[0]
+            assert (lev1.level, lev1.selected) == (1, True)
+            assert (lev1.pvalue, lev1.k_star, lev1.candidate) == (1.0, 0, 0)
+            assert calls
+            for x, band in calls:
+                assert band != (n // 2, n)
+                assert not np.array_equal(x, W[0])
+
     def test_energy_frac_one_selects_nothing(self, monkeypatch):
         monkeypatch.setattr(rp, "ENERGY_FRAC", 1.1)
         y = synthetic_series(seed=11)

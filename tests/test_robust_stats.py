@@ -82,6 +82,14 @@ class TestBiweightMidvariance:
         assert biweight_midvariance(x + 100) == pytest.approx(
             biweight_midvariance(x), rel=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_mad_does_not_warn(self):
+        # MAD = 5e-324, so d / (c·MAD) overflows for the large entries;
+        # they lie beyond c MADs and get zero weight.
+        x = np.array([0, 0, 0, 5e-324, 5e-324, 1e6, 1])
+        v = biweight_midvariance(x)
+        assert np.isfinite(v) and v >= 0.0
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_always_nonnegative_finite(self, xs):
