@@ -4,7 +4,7 @@ The paper relies on three robust primitives:
 
 * median / MAD for normalization and outlier clipping (§3.2);
 * the biweight midvariance for the robust unbiased wavelet variance (Eq. 4);
-* Huber's ψ weights for the Huber-periodogram IRLS solver (Eq. 6-7).
+* Huber's ψ weights for the Huber-periodogram's IRLS fallback (Eq. 6-7).
 
 Everything is pure numpy; no scipy is available in this container.
 """

@@ -12,6 +12,26 @@ def _sin(n, T, amp=1.0, phase=0.3):
     return amp * np.sin(2 * np.pi * np.arange(n) / T + phase)
 
 
+def _adversarial(kind, n):
+    """Inputs on which few residuals may stay inside ζ, or many tie."""
+    rng = np.random.default_rng(n)
+    if kind == "cauchy":
+        return rng.standard_cauchy(n)
+    w = rng.normal(0, 1, n)
+    if kind == "outliers":              # 10% at 20-200σ
+        idx = rng.choice(n, n // 10, replace=False)
+        w[idx] += rng.uniform(20, 200, idx.size) * rng.choice([-1, 1],
+                                                              idx.size)
+    elif kind == "sinusoid":            # amplitude 50 on the last quarter
+        t = slice(3 * n // 4, n)
+        w[t] += _sin(n, 10, amp=50.0)[t]
+    elif kind == "zeros":
+        w[rng.random(n) < 0.6] = 0.0
+    elif kind == "rounded":
+        w = np.round(w)
+    return w
+
+
 def _reference_huber_periodogram(w, exact_band):
     """The straightforward solve on ``zero_pad(w)``: K×N' cos/sin, 256-bin
     chunks, each chunk iterated until its largest step is below
@@ -48,7 +68,9 @@ def _reference_huber_periodogram(w, exact_band):
 
 
 def _reference_irls_chunk(x, ks):
-    """The folded solve that always computes the pad's Huber weights."""
+    """The folded IRLS solve that the Newton solve replaced (it always
+    computes the pad's Huber weights, which gives the same bits as the
+    unit-weight shortcut it had)."""
     n = 2 * x.size
     ang = 2.0 * np.pi / n * np.arange(n)
     idx = np.outer(ks, np.arange(x.size)) % n
@@ -151,13 +173,24 @@ class TestMPeriodogramEquivalences:
         assert not np.allclose(P[30:51], Po[30:51])
 
     def test_chunking_invariance(self, monkeypatch):
-        # Each bin converges on its own, so chunking cannot move a bit.
+        # Each bin converges on its own, so chunking cannot move a bit, also
+        # on a series some of whose bins fall back to IRLS.
         w = _sin(300, 30) + np.random.default_rng(4).normal(0, 0.3, 300)
-        P = []
-        for rows in (8, 512):
-            monkeypatch.setattr(hp, "CHUNK_ROWS", (rows, rows))
-            P.append(huber_periodogram(w))
-        np.testing.assert_array_equal(*P)
+        fell = [0]
+        irls_step = hp._irls_step
+
+        def counted(*args):
+            fell[0] += 1
+            return irls_step(*args)
+
+        monkeypatch.setattr(hp, "_irls_step", counted)
+        for x in (w, _adversarial("outliers", 300)):
+            P = []
+            for rows in (8, 512):
+                monkeypatch.setattr(hp, "CHUNK_ROWS", (rows, rows))
+                P.append(huber_periodogram(x))
+            np.testing.assert_array_equal(*P)
+        assert fell[0] > 0
 
     def test_n_data_prefix_scale(self):
         # The scale comes from the unpadded series, not the padded one, so
@@ -206,9 +239,57 @@ class TestMatchesReference:
                                    atol=1e-12 * np.sum(w**2))
 
 
+class TestNewtonMatchesIRLS:
+    """The Newton solve, with its per-bin IRLS fallback, against the folded
+    IRLS solve it replaced, on inputs that defeat undamped Newton steps."""
+
+    @pytest.mark.parametrize("n", [16, 301, 600])
+    @pytest.mark.parametrize("band", ["all", "level2", "level3"])
+    @pytest.mark.parametrize("kind", ["cauchy", "outliers", "sinusoid",
+                                      "zeros", "rounded"])
+    def test_matches_irls(self, monkeypatch, kind, band, n):
+        w = _adversarial(kind, n)
+        exact_band = {"all": None, "level2": (n // 4, n // 2),
+                      "level3": (n // 8, n // 4)}[band]
+        P = huber_periodogram(w, exact_band=exact_band)
+        # IRLS converges linearly: stopped at IRLS_TOL it was up to 5e-5
+        # (relative) short of the minimizer on rounded data, where Newton
+        # lands on it.  So the reference runs to convergence.
+        monkeypatch.setattr(hp, "_newton_chunk", _reference_irls_chunk)
+        monkeypatch.setattr(hp, "IRLS_TOL", 1e-13)
+        monkeypatch.setattr(hp, "IRLS_MAX_ITER", 1000)
+        ref = huber_periodogram(w, exact_band=exact_band)
+        np.testing.assert_allclose(P, ref, rtol=1e-5,
+                                   atol=1e-12 * np.sum(w**2))
+
+    @pytest.mark.parametrize("kind", ["outliers", "sinusoid"])
+    def test_newton_and_fallback_both_run(self, monkeypatch, kind):
+        # One bin per chunk: a chunk that takes an IRLS step is a bin that
+        # fell back, and the others were solved by Newton steps alone.
+        w = _adversarial(kind, 301)
+        P = huber_periodogram(w)
+        fell = []
+        newton_chunk, irls_step = hp._newton_chunk, hp._irls_step
+
+        def chunk(x, ks):
+            fell.append(False)
+            return newton_chunk(x, ks)
+
+        def step(*args):
+            fell[-1] = True
+            return irls_step(*args)
+
+        monkeypatch.setattr(hp, "CHUNK_ROWS", (1, 1))
+        monkeypatch.setattr(hp, "_newton_chunk", chunk)
+        monkeypatch.setattr(hp, "_irls_step", step)
+        np.testing.assert_array_equal(huber_periodogram(w), P)
+        assert 0 < sum(fell) < len(fell)
+
+
 class TestUnitPadWeights:
-    """Skipping the pad's weight pass when every pad weight is 1 keeps
-    every bit of the always-compute-the-pad-weights solve."""
+    """On a unit-pad bin (``|a| + |b| ≤ UNIT_PAD_BOUND``) the closed-form
+    pad terms ``G₀β``, ``G₀`` equal the elementwise ones, and the solve
+    takes the elementwise terms only on the other bins."""
 
     @pytest.mark.parametrize("n", [256, 301, 1000])
     @pytest.mark.parametrize("band", ["all", "level1", "level3"])
@@ -229,22 +310,21 @@ class TestUnitPadWeights:
                                                                  idx.size)
         exact_band = {"all": None, "level1": (n // 2, n),
                       "level3": (n // 8, n // 4)}[band]
-        calls = [0]
+        seen = {"unit": 0, "elementwise": 0}
+        pad_terms = hp._pad_terms
 
-        def counted(*args, **kw):
-            calls[0] += 1
-            return huber_weights(*args, **kw)
+        def checked(a, b, C, S, CC, CS, rows):
+            out = pad_terms(a, b, C, S, CC, CS, rows)
+            unit = np.abs(a) + np.abs(b) <= hp.UNIT_PAD_BOUND
+            assert not unit[rows].any()
+            every = pad_terms(a, b, C, S, CC, CS, np.arange(a.size))
+            np.testing.assert_allclose(out[:, unit], every[:, unit],
+                                       rtol=1e-12, atol=1e-12 * C.shape[1])
+            seen["unit"] += int(unit.sum())
+            seen["elementwise"] += rows.size
+            return out
 
-        monkeypatch.setattr(hp, "huber_weights", counted)
-        P = huber_periodogram(w, exact_band=exact_band)
-        fast = calls[0]
-        monkeypatch.setattr(hp, "_irls_chunk", _reference_irls_chunk)
-        calls[0] = 0
-        ref = huber_periodogram(w, exact_band=exact_band)
-        # Same bits → same iterations; the reference takes two weight
-        # passes per iteration, the unit branch one.
-        np.testing.assert_array_equal(P, ref)
-        if kind == "noise":
-            assert 2 * fast == calls[0]
-        else:
-            assert calls[0] // 2 < fast < calls[0]
+        monkeypatch.setattr(hp, "_pad_terms", checked)
+        huber_periodogram(w, exact_band=exact_band)
+        assert seen["unit"] > 0
+        assert (seen["elementwise"] > 0) == (kind != "noise")
