@@ -1,13 +1,16 @@
 """Detection scoring: tolerance matching + Spark SQL aggregation.
 
-Per-series matching (greedy, in one ``mapInPandas`` over the detections
-with the truth shipped as a dict, so nothing is joined or shuffled
-before the aggregate): each true period is matched to the nearest unused
-detected period within the tolerance (±0% = exact integer match; ±q% =
-|det − true| ≤ q·true, minimum slack 1 sample so a ±2% band is
-non-degenerate for short periods, as in the paper's "2% tolerance
-interval around the ground truth").  Matched pairs are TP; unmatched
-detections FP; unmatched truths FN.
+Per-series matching runs on the driver: ``match_df`` collects the
+detections (one short JSON list per series and algorithm) with one
+Spark action, matches each against the truth, and hands the match-count
+rows back to Spark as one Arrow partition, so the aggregate runs in one stage
+with no Python worker, join or shuffle.  Each true period is matched
+to the nearest unused detected period within the tolerance (±0% = exact
+integer match; ±q% = |det − true| ≤ q·true, minimum slack 1 sample so a
+±2% band is non-degenerate for short periods, as in the paper's "2%
+tolerance interval around the ground truth").  Matched pairs are TP;
+unmatched detections FP; unmatched truths FN.  A row whose algorithm
+raised scores as "no period" and is counted in ``n_error``.
 
 The aggregation to precision/recall/F1 per (dataset, algo) is a Spark
 SQL query; tests oracle-check it against DuckDB via
@@ -16,10 +19,11 @@ SQL query; tests oracle-check it against DuckDB via
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import (DoubleType, IntegerType, StringType,
                                StructField, StructType)
 
@@ -31,6 +35,7 @@ MATCH_SCHEMA = StructType([
     StructField("tp", IntegerType()),
     StructField("fp", IntegerType()),
     StructField("fn", IntegerType()),
+    StructField("n_error", IntegerType()),
 ])
 
 AGG_SQL = """
@@ -44,7 +49,8 @@ SELECT dataset, algo, tol,
             ELSE SUM(tp) / CAST(SUM(tp) + SUM(fn) AS DOUBLE) END AS recall,
        CASE WHEN 2 * SUM(tp) + SUM(fp) + SUM(fn) = 0 THEN 0.0
             ELSE 2.0 * SUM(tp) / CAST(2 * SUM(tp) + SUM(fp) + SUM(fn) AS DOUBLE)
-       END AS f1
+       END AS f1,
+       CAST(SUM(n_error) AS DOUBLE) AS n_error
 FROM {table}
 GROUP BY dataset, algo, tol
 ORDER BY dataset, algo, tol
@@ -73,27 +79,34 @@ def match_counts(detected: list[int], truth: list[int], tol: float
 
 def match_df(spark: SparkSession, det: DataFrame, truth: pd.DataFrame,
              tols: tuple[float, ...] = (0.0, 0.02)) -> DataFrame:
-    """Per-series TP/FP/FN rows; a detection whose series has no truth row
-    is dropped."""
+    """Per-series TP/FP/FN rows, and ``n_error`` 1 where the algorithm
+    raised; a detection whose series has no truth row is dropped.
+
+    Runs one Spark action when called, to collect ``det``; a caller that
+    reads ``det`` again caches it first."""
     tru = {(d, int(s)): json.loads(p) for d, s, p in
            zip(truth["dataset"], truth["series_id"], truth["periods"])}
-
-    def match_batches(batches: Iterable[pd.DataFrame]) -> Iterable[pd.DataFrame]:
-        for pdf in batches:
-            keys = zip(pdf["dataset"], pdf["series_id"])
-            yield pd.DataFrame(
-                [(*k, algo, float(tol), *match_counts(json.loads(p), tru[k], tol))
-                 for k, algo, p in zip(keys, pdf["algo"], pdf["periods"])
-                 if k in tru for tol in tols],
-                columns=MATCH_SCHEMA.fieldNames())
-
-    return (det.select("dataset", "series_id", "algo", "periods")
-            .mapInPandas(match_batches, schema=MATCH_SCHEMA))
+    pdf = det.select("dataset", "series_id", "algo", "periods", "error").toPandas()
+    rows = []
+    for d, s, algo, p, err in pdf.itertuples(index=False):
+        key = (d, int(s))
+        if key in tru:
+            rows += [(*key, algo, float(tol),
+                      *match_counts(json.loads(p), tru[key], tol), int(err is not None))
+                     for tol in tols]
+    # An Arrow table becomes a LocalTableScan, so no Python worker reads
+    # the rows back; as one partition, AGG_SQL's grouping and ordering
+    # need no Exchange.
+    m = pa.Table.from_pandas(pd.DataFrame(rows, columns=MATCH_SCHEMA.fieldNames()),
+                             schema=to_arrow_schema(MATCH_SCHEMA),
+                             preserve_index=False)
+    return spark.createDataFrame(m).coalesce(1)
 
 
 def score(spark: SparkSession, det: DataFrame, truth: pd.DataFrame,
           tols: tuple[float, ...] = (0.0, 0.02)) -> DataFrame:
-    """Precision/recall/F1 per (dataset, algo, tol) via Spark SQL."""
+    """Precision/recall/F1 and the error count per (dataset, algo, tol)
+    via Spark SQL."""
     m = match_df(spark, det, truth, tols)
     m.createOrReplaceTempView("match_counts_tbl")
     return spark.sql(AGG_SQL.format(table="match_counts_tbl"))

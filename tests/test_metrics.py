@@ -2,7 +2,8 @@
 
 The aggregation SQL is oracle-checked against DuckDB — the same query
 over the same match-count rows must produce identical precision/recall/
-F1 rows (``repro.oracle.assert_equivalent``).
+F1 rows (``repro.oracle.assert_equivalent``) — and ``score`` as a whole
+against a pandas recomputation from ``match_counts``.
 """
 import json
 
@@ -10,7 +11,16 @@ import pandas as pd
 import pytest
 
 from repro.oracle import assert_equivalent
+from repro.sparkrun.detect import DETECT_SCHEMA
 from repro.sparkrun.metrics import AGG_SQL, match_counts, match_df, score
+
+
+def _det_frame(spark, rows):
+    """Detection rows (dataset, series_id, algo, periods, error) →
+    a DataFrame in ``detect_periods``' schema."""
+    return spark.createDataFrame(
+        [(d, s, a, json.dumps(p), len(p), 0.01, e) for d, s, a, p, e in rows],
+        schema=DETECT_SCHEMA)
 
 
 class TestMatchCounts:
@@ -55,15 +65,12 @@ class TestMatchCounts:
 @pytest.fixture(scope="module")
 def det_truth(spark):
     """A tiny detection DataFrame with known counts, plus truth."""
-    det_rows = [
-        ("d", 0, "algoA", json.dumps([20, 50, 100]), 3, 0.01),
-        ("d", 1, "algoA", json.dumps([20, 51]), 2, 0.01),
-        ("d", 0, "algoB", json.dumps([20]), 1, 0.01),
-        ("d", 1, "algoB", json.dumps([]), 0, 0.01),
-    ]
-    det = spark.createDataFrame(
-        pd.DataFrame(det_rows, columns=["dataset", "series_id", "algo",
-                                        "periods", "n_periods", "elapsed_s"]))
+    det = _det_frame(spark, [
+        ("d", 0, "algoA", [20, 50, 100], None),
+        ("d", 1, "algoA", [20, 51], None),
+        ("d", 0, "algoB", [20], None),
+        ("d", 1, "algoB", [], "RuntimeError: kaboom"),
+    ])
     truth = pd.DataFrame(
         [("d", 0, json.dumps([20, 50, 100])),
          ("d", 1, json.dumps([20, 50, 100]))],
@@ -102,6 +109,8 @@ class TestSparkScoring:
         b0 = s[(s.algo == "algoB") & (s.tol == 0.0)].iloc[0]
         assert b0["precision"] == pytest.approx(1.0)
         assert b0["recall"] == pytest.approx(1 / 6)
+        # algoB's series 1 raised: scored as no period, and counted.
+        assert (a0["n_error"], b0["n_error"]) == (0.0, 1.0)
 
     def test_aggregation_matches_duckdb_oracle(self, spark, det_truth):
         det, truth = det_truth
@@ -112,11 +121,54 @@ class TestSparkScoring:
                           m=m.toPandas())
 
     def test_all_empty_detections_zero_scores(self, spark):
-        det = spark.createDataFrame(pd.DataFrame(
-            [("d", 0, "x", "[]", 0, 0.0)],
-            columns=["dataset", "series_id", "algo", "periods", "n_periods",
-                     "elapsed_s"]))
+        det = _det_frame(spark, [("d", 0, "x", [], None)])
         truth = pd.DataFrame([("d", 0, json.dumps([10]))],
                              columns=["dataset", "series_id", "periods"])
         s = score(spark, det, truth).toPandas()
         assert (s["precision"] == 0).all() and (s["recall"] == 0).all()
+
+
+def _expected_score(det: pd.DataFrame, truth: pd.DataFrame, tols=(0.0, 0.02)):
+    """``score`` recomputed in pandas: ``match_counts`` per row and
+    tolerance, then AGG_SQL's sums and ratios per (dataset, algo, tol)."""
+    tru = {(d, int(s)): json.loads(p) for d, s, p in
+           zip(truth.dataset, truth.series_id, truth.periods)}
+    rows = [(d, a, tol, *match_counts(json.loads(p), tru[d, int(s)], tol),
+             int(e is not None))
+            for d, s, a, p, e in zip(det.dataset, det.series_id, det.algo,
+                                     det.periods, det.error)
+            if (d, int(s)) in tru for tol in tols]
+    m = pd.DataFrame(rows, columns=["dataset", "algo", "tol", "tp", "fp",
+                                    "fn", "n_error"])
+    g = (m.groupby(["dataset", "algo", "tol"], as_index=False).sum()
+         .astype({c: float for c in ["tp", "fp", "fn", "n_error"]}))
+    tp, fp, fn = g.tp, g.fp, g.fn
+    g["precision"] = (tp / (tp + fp)).where(tp + fp > 0, 0.0)
+    g["recall"] = (tp / (tp + fn)).where(tp + fn > 0, 0.0)
+    g["f1"] = (2 * tp / (2 * tp + fp + fn)).where(2 * tp + fp + fn > 0, 0.0)
+    return g
+
+
+class TestScoreEdgeCases:
+    @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+    def test_score_matches_pandas_recomputation(self, spark, cached):
+        det = _det_frame(spark, [
+            ("e", 0, "a", [], "ValueError: bad input"),   # raised
+            ("e", 0, "b", [20, 20, 50], None),            # repeated period
+            ("e", 1, "a", [30], None),                    # truth is []
+            ("e", 1, "b", [], None),
+            ("e", 2, "a", [20], None),                    # no truth row
+            ("f", 0, "a", [20, 51], None),
+        ])
+        truth = pd.DataFrame(
+            [("e", 0, json.dumps([20, 50])), ("e", 1, json.dumps([])),
+             ("f", 0, json.dumps([20, 50]))],
+            columns=["dataset", "series_id", "periods"])
+        if cached:
+            det.cache()
+        got = score(spark, det, truth).toPandas()
+        if cached:
+            det.unpersist()
+        want = _expected_score(det.toPandas(), truth)
+        pd.testing.assert_frame_equal(got, want[got.columns], check_dtype=False)
+        assert got.n_error.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]

@@ -151,10 +151,14 @@ class TestShuffleFree:
         assert "MapInPandas" in plan and "Exchange" not in plan
 
     def test_score_shuffles_only_in_aggregate(self, spark, small_suite):
-        # Only AGG_SQL's aggregate and sort may shuffle: nothing is joined
-        # and nothing below the matching MapInPandas is exchanged.
+        # Matching runs on the driver over the collected detections, and
+        # the match rows come back as one partition: AGG_SQL's aggregate
+        # and sort need no Exchange, nothing is joined, and no Python
+        # worker runs.  Rows handed over as a Python list would show as
+        # an ExistingRDD scan that a Python worker feeds.
         data, truth = small_suite
         det = detect_periods(spark, data, ["siegel"])
         plan = _executed_plan(score(spark, det, truth))
-        assert "Join" not in plan
-        assert "Exchange" not in plan[plan.index("MapInPandas"):]
+        for node in ("Exchange", "Join", "MapInPandas", "ArrowEvalPython",
+                     "BatchEvalPython", "ExistingRDD"):
+            assert node not in plan, node
