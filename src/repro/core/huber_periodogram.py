@@ -11,9 +11,17 @@ unique minimizer on the full-rank 2-column harmonic design, so any
 convergent solver reaches the same β̂ (documented substitution in
 DESIGN.md).  Here each bin takes Newton steps from the OLS start, with
 IRLS steps as its fallback.  Both vectorize across frequencies: a
-cache-sized chunk of K frequencies shares K×N residual arrays (the pad
+cache-sized chunk of K frequencies shares its residual arrays (the pad
 folded onto the data half), each iteration solving K independent 2×2
 systems in closed form.
+
+Outlier set: away from its closed form, a Newton step's gradient and
+Hessian change only through the samples with ``|r_t| > ζ`` (the active-set
+view of Huber's M-estimator; Clark & Osborne, SIAM J. Sci. Stat. Comput. 7,
+1986).  One FFT per call gives every bin's ``Σ_t x_t φ_t``; a bin whose
+``|a| + |b|`` stays below a per-call bound B then sums only over the
+samples ``T = {t : |x_t| > ζ − B}``, on K×|T| arrays, and any other bin
+over all N, on K×N arrays (``_newton_chunk``).
 
 Robust scale handling: the minimizer of the Huber problem with threshold
 ζ·σ̂ on data x equals σ̂ times the minimizer with threshold ζ on x/σ̂, so
@@ -33,9 +41,10 @@ IRLS_MAX_ITER = 20
 IRLS_TOL = 1e-7
 #: Below this |a| + |b| every pad residual is inside ζ (see ``_newton_chunk``).
 UNIT_PAD_BOUND = HUBER_ZETA * (1.0 - 1e-12)
-# Rows per chunk ≈ CHUNK_ELEMS/N, within CHUNK_ROWS.  At 2^16 glibc trimmed
-# the heap after a chunk and re-faulted it for the next (~57k minor faults
-# per perfbench table7 kernel round); at 2^15 it did not.
+# Rows per chunk ≈ CHUNK_ELEMS / (a bin's expected elements per Newton pass,
+# from ``_outlier_bound``), within CHUNK_ROWS.  At 2^16 glibc trimmed the
+# heap after a chunk and re-faulted it for the next (~57k minor faults per
+# perfbench table7 kernel round); at 2^15 it did not.
 CHUNK_ELEMS = 1 << 15
 CHUNK_ROWS = (8, 256)
 
@@ -50,6 +59,15 @@ def ordinary_periodogram(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     X = np.fft.rfft(x)
     return (X.real**2 + X.imag**2) / x.size
+
+
+def _design(cos: np.ndarray, sin: np.ndarray, ks: np.ndarray,
+            t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(C, S, C², C·S)`` of bins ``ks`` at samples ``t``, read from the
+    cos/sin tables of the N' angles ``2πj/N'``."""
+    idx = np.outer(ks, t) % cos.size
+    C, S = cos[idx], sin[idx]
+    return C, S, C * C, C * S
 
 
 def _huber_terms(r: np.ndarray, C: np.ndarray, S: np.ndarray,
@@ -86,6 +104,37 @@ def _pad_terms(a: np.ndarray, b: np.ndarray, C: np.ndarray, S: np.ndarray,
     return pad
 
 
+def _outlier_terms(a: np.ndarray, b: np.ndarray, a_ols: np.ndarray,
+                   b_ols: np.ndarray, x: np.ndarray, C: np.ndarray,
+                   S: np.ndarray, CC: np.ndarray, CS: np.ndarray,
+                   r: np.ndarray, psi: np.ndarray, D: np.ndarray,
+                   n: int) -> np.ndarray:
+    """``_huber_terms`` of the data half plus the unit pad, at ``(a, b)``,
+    as a (5, K) array, from the samples ``t ∈ T`` only (``x``, ``C``, ...
+    hold those columns; ``r``, ``psi``, ``D`` are scratch shaped like
+    ``C``).
+
+    On the data half ``Σ_t r_t φ_t = G₀β − Σ_t x_t φ_t = G₀(β − β_OLS)``,
+    and the unit pad adds ``G₀β``, ``G₀`` (``_pad_terms``); ``G₀ = (N/2)·I``.
+    So with ``O = {t : |r_t| > ζ} ⊆ T`` and ``n = N``:
+
+        g = N·(β − β_OLS) − Σ_{t∈O} (r_t − ψ(r_t)) φ_t,
+        H = N·I − Σ_{t∈O} φ_t φ_tᵀ.
+    """
+    np.multiply(a[:, None], C, out=r)
+    r += np.multiply(b[:, None], S, out=psi)
+    r -= x
+    np.minimum(r, HUBER_ZETA, out=psi)
+    np.maximum(psi, -HUBER_ZETA, out=psi)
+    np.not_equal(r, psi, out=D)             # outside ζ
+    r -= psi                                # r − ψ(r), 0 inside ζ
+    Hcc = np.einsum("kt,kt->k", D, CC)
+    return np.stack([n * (a - a_ols) - np.einsum("kt,kt->k", r, C),
+                     n * (b - b_ols) - np.einsum("kt,kt->k", r, S),
+                     n - Hcc, -np.einsum("kt,kt->k", D, CS),
+                     n - np.einsum("kt->k", D) + Hcc])
+
+
 def _irls_step(x: np.ndarray, C: np.ndarray, S: np.ndarray, CC: np.ndarray,
                CS: np.ndarray, a: np.ndarray, b: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,9 +155,35 @@ def _irls_step(x: np.ndarray, C: np.ndarray, S: np.ndarray, CC: np.ndarray,
             np.where(ok, (Scc * Ssx - Scs * Scx) / d, b))
 
 
-def _newton_chunk(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
+def _outlier_bound(x: np.ndarray, s: np.ndarray) -> tuple[float, float]:
+    """The bound B of ``_newton_chunk`` for the normalized series ``x`` and
+    the bins' OLS ``s = |a| + |b|``, and the expected elements per bin of a
+    Newton pass.
+
+    A pass takes the sums over ``|T(B)| = #{t : |x_t| > UNIT_PAD_BOUND − B}``
+    samples on every bin (``_outlier_terms`` runs on the whole chunk), and
+    those over all N on the bins above B.  B is the ``1.5·s_k`` (capped at
+    ``UNIT_PAD_BOUND``) that minimizes that cost at the OLS start,
+    ``K·|T(B)| + K_dense(B)·N``; B = −∞ (every bin dense, no sums over T)
+    when none beats ``K·N``."""
+    n, K = x.size, s.size
+    s = np.sort(s)
+    B = np.minimum(1.5 * s, UNIT_PAD_BOUND)
+    sparse = np.searchsorted(s, B, side="right")
+    n_T = n - np.searchsorted(np.sort(np.abs(x)), UNIT_PAD_BOUND - B,
+                              side="right")
+    cost = K * n_T + (K - sparse) * n
+    i = int(np.argmin(cost))
+    if not cost[i] < K * n:
+        return -np.inf, float(n)
+    return float(B[i]), cost[i] / K
+
+
+def _newton_chunk(x: np.ndarray, ks: np.ndarray, a: np.ndarray,
+                  b: np.ndarray, bound: float) -> np.ndarray:
     """Solve the Huber M-periodogram of ``zero_pad(x)`` for a chunk of
-    frequency indices.  Returns ||β̂(k)||² per k.
+    frequency indices ``ks`` from their OLS start ``(a, b)``.  Returns
+    ||β̂(k)||² per k.
 
     Fold: at ``t + N`` bin k's angle is ``θ_t + πk``, so cos and sin flip
     sign together; the pad residual is ``±(a·C_t + b·S_t)``, and as ψ is odd
@@ -121,37 +196,70 @@ def _newton_chunk(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
     ``|a| + |b|``, so below ``UNIT_PAD_BOUND`` every pad residual is inside
     ζ and the pad adds exactly ``G₀β`` to g and ``G₀`` to H, with
     ``G₀ = Σ φφᵀ`` over the data half (``_pad_terms``).
+
+    Outlier set: ``|r_t| ≤ |x_t| + |a| + |b|``, so on a pass where a bin has
+    ``|a| + |b| ≤ bound`` (≤ ``UNIT_PAD_BOUND``) every residual outside
+    ``T = {t : |x_t| > UNIT_PAD_BOUND − bound}`` is inside ζ; that bin
+    takes ``_outlier_terms`` over T (sparse).  Any other bin takes
+    ``_huber_terms`` and ``_pad_terms`` over all N samples (dense); its
+    cos/sin rows are gathered the first time it needs them and kept for the
+    chunk.  ``bound = −∞`` makes every bin dense.
+
     Fallback: a bin whose H is singular (condition number above 1e12), or
     whose gradient norm grew over its last Newton step (that step is undone),
-    takes IRLS steps for the rest of its solve; IRLS is a
+    takes IRLS steps over all N for the rest of its solve; IRLS is a
     majorize-minimize method and converges from any start.
 
-    Every decision (unit pad, fallback, stop at ``IRLS_TOL``) is per bin, so
-    a bin's result does not depend on which bins share its chunk.
+    Every decision (sparse or dense, unit pad, fallback, stop at
+    ``IRLS_TOL``) is per bin, and ``bound`` is per call, so a bin's result
+    does not depend on which bins share its chunk.
     """
-    n = 2 * x.size                      # N'
-    ang = 2.0 * np.pi / n * np.arange(n)
-    idx = np.outer(ks, np.arange(x.size)) % n
-    C, S = np.cos(ang)[idx], np.sin(ang)[idx]
-    CC, CS = C * C, C * S
-    # OLS init (exact at Fourier frequencies).
-    a = 2.0 / n * np.einsum("kt,t->k", C, x)
-    b = 2.0 / n * np.einsum("kt,t->k", S, x)
-    active = np.ones(ks.size, dtype=bool)
-    newton = np.ones(ks.size, dtype=bool)
-    a_last, b_last, g2_last = a, b, np.full(ks.size, np.inf)
-    r, psi, D = np.empty_like(C), np.empty_like(C), np.empty_like(C)
+    N, K = x.size, ks.size
+    ang = 2.0 * np.pi / (2 * N) * np.arange(2 * N)
+    cos, sin = np.cos(ang), np.sin(ang)
+    T = np.flatnonzero(np.abs(x) > UNIT_PAD_BOUND - bound)
+    xT, design_T = x[T], _design(cos, sin, ks, T)
+    scratch_T = [np.empty_like(design_T[0]) for _ in range(3)]
+    # Rows whose cos/sin over all N samples are gathered, and those arrays.
+    full = np.zeros(K, dtype=bool)
+    dense_arrays: list[np.ndarray] = []
+
+    def gather(need: np.ndarray) -> np.ndarray:
+        """The gathered position of every row; gathers ``need`` first."""
+        if (need & ~full).any():
+            full[need] = True
+            C, S, CC, CS = _design(cos, sin, ks[full], np.arange(N))
+            dense_arrays[:] = [C, S, CC, CS, *(np.empty_like(C)
+                                               for _ in range(3))]
+        return np.cumsum(full) - 1
+
+    a_ols, b_ols = a, b
+    active = np.ones(K, dtype=bool)
+    newton = np.ones(K, dtype=bool)
+    a_last, b_last, g2_last = a, b, np.full(K, np.inf)
     for _ in range(IRLS_MAX_ITER):
-        np.multiply(a[:, None], C, out=r)
-        r += np.multiply(b[:, None], S, out=psi)
-        # Newton bins whose pad residuals may leave ζ.
-        big = np.flatnonzero(newton & active
-                             & (np.abs(a) + np.abs(b) > UNIT_PAD_BOUND))
-        ga, gb, Hcc, Hcs, Hss = _pad_terms(a, b, C, S, CC, CS, big) \
-            + _huber_terms(np.subtract(r, x, out=r), C, S, CC, CS, psi, D)
+        step = newton & active
+        sparse = np.abs(a) + np.abs(b) <= bound
+        dense = step & ~sparse
+        terms = (_outlier_terms(a, b, a_ols, b_ols, xT, *design_T,
+                                *scratch_T, N)
+                 if (step & sparse).any() else np.zeros((5, K)))
+        if dense.any():
+            pos = gather(dense)
+            C, S, CC, CS, r, psi, D = dense_arrays
+            ag, bg = a[full], b[full]
+            np.multiply(ag[:, None], C, out=r)
+            r += np.multiply(bg[:, None], S, out=psi)
+            # Dense Newton bins whose pad residuals may leave ζ.
+            big = np.flatnonzero(step[full]
+                                 & (np.abs(ag) + np.abs(bg) > UNIT_PAD_BOUND))
+            terms[:, dense] = (
+                _pad_terms(ag, bg, C, S, CC, CS, big)
+                + _huber_terms(np.subtract(r, x, out=r), C, S, CC, CS, psi, D)
+            )[:, pos[dense]]
+        ga, gb, Hcc, Hcs, Hss = terms
         det = Hcc * Hss - Hcs**2
         g2 = ga**2 + gb**2
-        step = newton & active
         grew = step & ~(g2 <= g2_last)     # a NaN gradient counts as grown
         newton &= ~(grew | (step & (det <= 1e-12 * (Hcc + Hss)**2)))
         step &= newton
@@ -161,10 +269,12 @@ def _newton_chunk(x: np.ndarray, ks: np.ndarray) -> np.ndarray:
         b_new = np.where(step, b0 - (Hcc * gb - Hcs * ga) / d, b0)
         a_last, b_last = np.where(step, a, a_last), np.where(step, b, b_last)
         g2_last = np.where(step, g2, g2_last)
-        fall = np.flatnonzero(~newton & active)
-        if fall.size:
+        fall = ~newton & active
+        if fall.any():
+            p = gather(fall)[fall]
+            C, S, CC, CS = dense_arrays[:4]
             a_new[fall], b_new[fall] = _irls_step(
-                x, C[fall], S[fall], CC[fall], CS[fall], a0[fall], b0[fall])
+                x, C[p], S[p], CC[p], CS[p], a0[fall], b0[fall])
         active &= np.abs(a_new - a0) + np.abs(b_new - b0) >= IRLS_TOL
         a, b = a_new, b_new
         if not active.any():
@@ -194,9 +304,14 @@ def huber_periodogram(x: np.ndarray, *,
     if hi < lo:
         return P
     xn = x / sig
-    rows = int(np.clip(CHUNK_ELEMS // n, *CHUNK_ROWS))
     ks = np.arange(lo, hi + 1)
-    beta2 = np.concatenate([_newton_chunk(xn, ks[s:s + rows])
-                            for s in range(0, ks.size, rows)])
+    # OLS start: Σ_t x_t φ_t / (N'/2), read off one FFT.
+    X = np.fft.rfft(zero_pad(xn))[ks] / n
+    a, b = X.real, -X.imag
+    bound, width = _outlier_bound(xn, np.abs(a) + np.abs(b))
+    rows = int(np.clip(CHUNK_ELEMS // max(width, 1.0), *CHUNK_ROWS))
+    beta2 = np.concatenate([
+        _newton_chunk(xn, ks[s:s + rows], a[s:s + rows], b[s:s + rows], bound)
+        for s in range(0, ks.size, rows)])
     P[ks] = (n / 2.0) * beta2 * sig**2      # N'/4 = N/2
     return P

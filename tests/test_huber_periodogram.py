@@ -173,24 +173,32 @@ class TestMPeriodogramEquivalences:
         assert not np.allclose(P[30:51], Po[30:51])
 
     def test_chunking_invariance(self, monkeypatch):
-        # Each bin converges on its own, so chunking cannot move a bit, also
-        # on a series some of whose bins fall back to IRLS.
+        # Each bin converges on its own and the outlier bound is per call, so
+        # chunking cannot move a bit: also on a series some of whose bins
+        # fall back to IRLS, and on a strong sine in noise, whose bins take
+        # the sums over the outlier set, those over all samples, and IRLS.
         w = _sin(300, 30) + np.random.default_rng(4).normal(0, 0.3, 300)
-        fell = [0]
-        irls_step = hp._irls_step
+        ran = {}
 
-        def counted(*args):
-            fell[0] += 1
-            return irls_step(*args)
+        def count(name):
+            fn = getattr(hp, name)
 
-        monkeypatch.setattr(hp, "_irls_step", counted)
-        for x in (w, _adversarial("outliers", 300)):
+            def counted(*args):
+                ran[name] = ran.get(name, 0) + 1
+                return fn(*args)
+            monkeypatch.setattr(hp, name, counted)
+
+        for name in ("_outlier_terms", "_huber_terms", "_irls_step"):
+            count(name)
+        for x in (w, _adversarial("outliers", 300),
+                  _adversarial("sinusoid", 300)):
+            ran.clear()
             P = []
             for rows in (8, 512):
                 monkeypatch.setattr(hp, "CHUNK_ROWS", (rows, rows))
                 P.append(huber_periodogram(x))
             np.testing.assert_array_equal(*P)
-        assert fell[0] > 0
+        assert set(ran) == {"_outlier_terms", "_huber_terms", "_irls_step"}
 
     def test_n_data_prefix_scale(self):
         # The scale comes from the unpadded series, not the padded one, so
@@ -255,7 +263,8 @@ class TestNewtonMatchesIRLS:
         # IRLS converges linearly: stopped at IRLS_TOL it was up to 5e-5
         # (relative) short of the minimizer on rounded data, where Newton
         # lands on it.  So the reference runs to convergence.
-        monkeypatch.setattr(hp, "_newton_chunk", _reference_irls_chunk)
+        monkeypatch.setattr(hp, "_newton_chunk",
+                            lambda x, ks, *_: _reference_irls_chunk(x, ks))
         monkeypatch.setattr(hp, "IRLS_TOL", 1e-13)
         monkeypatch.setattr(hp, "IRLS_MAX_ITER", 1000)
         ref = huber_periodogram(w, exact_band=exact_band)
@@ -271,9 +280,9 @@ class TestNewtonMatchesIRLS:
         fell = []
         newton_chunk, irls_step = hp._newton_chunk, hp._irls_step
 
-        def chunk(x, ks):
+        def chunk(*args):
             fell.append(False)
-            return newton_chunk(x, ks)
+            return newton_chunk(*args)
 
         def step(*args):
             fell[-1] = True
@@ -287,9 +296,11 @@ class TestNewtonMatchesIRLS:
 
 
 class TestUnitPadWeights:
-    """On a unit-pad bin (``|a| + |b| ≤ UNIT_PAD_BOUND``) the closed-form
-    pad terms ``G₀β``, ``G₀`` equal the elementwise ones, and the solve
-    takes the elementwise terms only on the other bins."""
+    """On a sparse bin (``|a| + |b| ≤ bound``) the sums over the outlier set
+    ``T`` equal the dense terms with the elementwise pad, and no residual
+    outside ``T`` can leave ζ; the solve reads those sums on no other bin.
+    A dense bin takes the closed-form pad terms ``G₀β``, ``G₀`` only where
+    they equal the elementwise ones."""
 
     @pytest.mark.parametrize("n", [256, 301, 1000])
     @pytest.mark.parametrize("band", ["all", "level1", "level3"])
@@ -310,21 +321,63 @@ class TestUnitPadWeights:
                                                                  idx.size)
         exact_band = {"all": None, "level1": (n // 2, n),
                       "level3": (n // 8, n // 4)}[band]
-        seen = {"unit": 0, "elementwise": 0}
-        pad_terms = hp._pad_terms
+        seen = {"sparse": 0, "dense": 0}
+        chunk = {}
+        newton_chunk, outlier_terms = hp._newton_chunk, hp._outlier_terms
+        pad_terms, huber_terms = hp._pad_terms, hp._huber_terms
 
-        def checked(a, b, C, S, CC, CS, rows):
+        def spied(x, ks, a, b, bound):
+            assert bound <= hp.UNIT_PAD_BOUND
+            chunk.update(x=x, ks=ks, bound=bound)
+            return newton_chunk(x, ks, a, b, bound)
+
+        def checked_outlier(a, b, a_ols, b_ols, xT, *args):
+            out = outlier_terms(a, b, a_ols, b_ols, xT, *args)
+            x, bound = chunk["x"], chunk["bound"]
+            sparse = np.abs(a) + np.abs(b) <= bound
+            # |r_t| ≤ |x_t| + |a| + |b|: outside the kernel's T no sparse
+            # bin's residual can leave ζ.
+            outside_T = ~np.isin(x, xT)
+            assert (np.abs(x[outside_T]).max(initial=0.0)
+                    + (np.abs(a) + np.abs(b))[sparse].max(initial=0.0)
+                    <= hp.HUBER_ZETA)
+            a, b, rows = a[sparse], b[sparse], np.arange(sparse.sum())
+            ang = np.pi / x.size * np.outer(chunk["ks"][sparse],
+                                            np.arange(x.size))
+            C, S = np.cos(ang), np.sin(ang)
+            fit = a[:, None] * C + b[:, None] * S
+            dense = (pad_terms(a, b, C, S, C * C, C * S, rows)
+                     + huber_terms(fit - x, C, S, C * C, C * S))
+            np.testing.assert_allclose(out[:, sparse], dense, rtol=1e-12,
+                                       atol=1e-12 * x.size)
+            seen["sparse"] += rows.size
+            return out
+
+        def poisoned_outlier(a, b, *args):
+            out = outlier_terms(a, b, *args)
+            out[:, np.abs(a) + np.abs(b) > chunk["bound"]] = np.nan
+            return out
+
+        def checked_pad(a, b, C, S, CC, CS, rows):
             out = pad_terms(a, b, C, S, CC, CS, rows)
             unit = np.abs(a) + np.abs(b) <= hp.UNIT_PAD_BOUND
             assert not unit[rows].any()
             every = pad_terms(a, b, C, S, CC, CS, np.arange(a.size))
             np.testing.assert_allclose(out[:, unit], every[:, unit],
                                        rtol=1e-12, atol=1e-12 * C.shape[1])
-            seen["unit"] += int(unit.sum())
-            seen["elementwise"] += rows.size
+            seen["dense"] += a.size
             return out
 
-        monkeypatch.setattr(hp, "_pad_terms", checked)
-        huber_periodogram(w, exact_band=exact_band)
-        assert seen["unit"] > 0
-        assert (seen["elementwise"] > 0) == (kind != "noise")
+        monkeypatch.setattr(hp, "_newton_chunk", spied)
+        monkeypatch.setattr(hp, "_outlier_terms", checked_outlier)
+        monkeypatch.setattr(hp, "_pad_terms", checked_pad)
+        P = huber_periodogram(w, exact_band=exact_band)
+        monkeypatch.setattr(hp, "_outlier_terms", poisoned_outlier)
+        np.testing.assert_array_equal(
+            huber_periodogram(w, exact_band=exact_band), P)
+        # The level-3 bands of N = 256 and 301 (33-38 bins) lie inside the
+        # leakage of the amplitude-50 period-10 sine, so the cost rule makes
+        # every bin dense there; everywhere else both paths run.
+        every_dense = kind != "noise" and band == "level3" and n < 1000
+        assert (seen["sparse"] > 0) != every_dense
+        assert seen["dense"] > 0 or kind == "noise"
